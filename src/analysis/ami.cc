@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <unordered_map>
 
 #include "util/check.h"
@@ -22,6 +23,28 @@ std::vector<int> densify(std::span<const int> labels, std::size_t& k) {
     out.push_back(it->second);
   }
   k = map.size();
+  return out;
+}
+
+/// Dense ids for the distinct values of a marginal, in first-seen order.
+struct DistinctValues {
+  std::vector<std::size_t> ids;  // ids[i] = id of sums[i]
+  std::size_t count = 0;
+};
+
+constexpr std::size_t kNotYet = std::numeric_limits<std::size_t>::max();
+
+/// `sums` must lie in [0, total], as every marginal of a table does.
+DistinctValues distinct_values(std::span<const std::size_t> sums,
+                               std::size_t total) {
+  std::vector<std::size_t> id_of(total + 1, kNotYet);
+  DistinctValues out;
+  out.ids.reserve(sums.size());
+  for (const std::size_t s : sums) {
+    WAFP_CHECK(s <= total) << "marginal " << s << " exceeds total " << total;
+    if (id_of[s] == kNotYet) id_of[s] = out.count++;
+    out.ids.push_back(id_of[s]);
+  }
   return out;
 }
 
@@ -78,29 +101,58 @@ double expected_mutual_information(const ContingencyTable& table) {
   // Vinh et al. (2009), Eq. for E[MI] under the hypergeometric model:
   // sum over all (i, j) and all feasible nij of
   //   (nij/N) * ln(N*nij / (a_i*b_j)) * P_hypergeometric(nij; N, a_i, b_j).
+  //
+  // A term depends only on the marginal pair (a_i, b_j) and nij, and the
+  // marginals repeat (singletons, equal-sized clusters), so each distinct
+  // pair's terms are evaluated once, the first time the pair appears, and
+  // replayed for every later cell with the same pair. Every term is still
+  // added into `emi` on its own, in row, column, nij order, so the sum is
+  // bit-identical to evaluating each term afresh.
   const std::size_t n = table.total;
   const auto nd = static_cast<double>(n);
-  const double ln_n_fact = util::ln_factorial(n);
+  std::vector<double> lnf(n + 1);
+  for (std::size_t k = 0; k <= n; ++k) lnf[k] = util::ln_factorial(k);
+
+  const DistinctValues rows = distinct_values(table.row_sums, n);
+  const DistinctValues cols = distinct_values(table.col_sums, n);
+  // Distinct pair (r, c)'s terms are terms[begin, end) of its span,
+  // spans[r * cols.count + c].
+  struct Span {
+    std::size_t begin = kNotYet;
+    std::size_t end = 0;
+  };
+  std::vector<Span> spans(rows.count * cols.count);
+  std::vector<double> terms;
 
   double emi = 0.0;
-  for (const std::size_t ai : table.row_sums) {
-    for (const std::size_t bj : table.col_sums) {
-      const std::size_t lo =
-          ai + bj > n ? ai + bj - n : std::size_t{1};
-      const std::size_t hi = std::min(ai, bj);
-      for (std::size_t nij = std::max<std::size_t>(lo, 1); nij <= hi; ++nij) {
-        const double term1 = static_cast<double>(nij) / nd;
-        const double term2 =
-            util::portable_log(nd * static_cast<double>(nij) /
-                     (static_cast<double>(ai) * static_cast<double>(bj)));
-        const double ln_p =
-            util::ln_factorial(ai) + util::ln_factorial(bj) +
-            util::ln_factorial(n - ai) + util::ln_factorial(n - bj) -
-            ln_n_fact - util::ln_factorial(nij) -
-            util::ln_factorial(ai - nij) - util::ln_factorial(bj - nij) -
-            util::ln_factorial(n - ai - bj + nij);
-        emi += term1 * term2 * util::portable_exp(ln_p);
+  for (std::size_t i = 0; i < table.row_sums.size(); ++i) {
+    const std::size_t ai = table.row_sums[i];
+    Span* const row_spans = spans.data() + rows.ids[i] * cols.count;
+    for (std::size_t j = 0; j < table.col_sums.size(); ++j) {
+      Span& span = row_spans[cols.ids[j]];
+      if (span.begin == kNotYet) {
+        const std::size_t bj = table.col_sums[j];
+        const std::size_t lo = ai + bj > n ? ai + bj - n : std::size_t{1};
+        const std::size_t hi = std::min(ai, bj);
+        // ln P's first five operands, hoisted. `a + b - c - d` evaluates
+        // left to right, so subtracting the four nij-dependent operands
+        // from this prefix gives ln P the bits of the full expression.
+        const double ln_marginals =
+            lnf[ai] + lnf[bj] + lnf[n - ai] + lnf[n - bj] - lnf[n];
+        span.begin = terms.size();
+        for (std::size_t nij = std::max<std::size_t>(lo, 1); nij <= hi;
+             ++nij) {
+          const double term1 = static_cast<double>(nij) / nd;
+          const double term2 = util::portable_log(
+              nd * static_cast<double>(nij) /
+              (static_cast<double>(ai) * static_cast<double>(bj)));
+          const double ln_p = ln_marginals - lnf[nij] - lnf[ai - nij] -
+                              lnf[bj - nij] - lnf[n - ai - bj + nij];
+          terms.push_back(term1 * term2 * util::portable_exp(ln_p));
+        }
+        span.end = terms.size();
       }
+      for (std::size_t t = span.begin; t < span.end; ++t) emi += terms[t];
     }
   }
   return emi;

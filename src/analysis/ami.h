@@ -28,7 +28,12 @@ struct ContingencyTable {
 [[nodiscard]] double marginal_entropy(std::span<const std::size_t> sums,
                                       std::size_t total);
 
-/// Expected MI under the hypergeometric model (natural log).
+/// Expected MI under the hypergeometric model (natural log). Exact and
+/// memoised per call: ln k! is tabulated for k = 0..N, each distinct
+/// marginal pair (a_i, b_j) has its hypergeometric terms evaluated once,
+/// and every cell's terms are then added one at a time in row, column, n_ij
+/// order, so the result is bit-identical to evaluating every term afresh
+/// (tests/analysis/emi_parity_test.cc). All state is local to the call.
 [[nodiscard]] double expected_mutual_information(const ContingencyTable& table);
 
 /// Adjusted Mutual Information with arithmetic-mean normalization (the

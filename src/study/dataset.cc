@@ -174,7 +174,7 @@ Dataset Dataset::collect(const StudyConfig& config) {
   // state 0. Afterwards the user-major pass is pure cache hits, which is
   // what makes it safe to parallelize without duplicate render work.
   {
-    WAFP_SPAN("study/collect/prewarm");
+    WAFP_SPAN("prewarm");
     fingerprint::FingerprintCollector draws(collector_options);
     fingerprint::BatchRenderer batch(cache);
     for (std::size_t u = 0; u < ds.population_->size(); ++u) {

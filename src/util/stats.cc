@@ -66,8 +66,4 @@ double ln_factorial(std::size_t n) {
          0.5 * portable_log(2.0 * std::numbers::pi * x) + series;
 }
 
-double log_factorial(std::size_t n) {
-  return ln_factorial(n) / std::numbers::ln2;
-}
-
 }  // namespace wafp::util

@@ -26,10 +26,9 @@ template <typename T>
   return counts;
 }
 
-/// log2(n!) via lgamma; used by the expected-mutual-information computation.
-[[nodiscard]] double log_factorial(std::size_t n);
-
-/// Natural-log factorial.
+/// ln(n!), the same bits on every host: a table of running portable_log
+/// sums for n < 64 and a Stirling series above. The expected-MI sum
+/// (analysis/ami.cc) tabulates it once per call.
 [[nodiscard]] double ln_factorial(std::size_t n);
 
 }  // namespace wafp::util

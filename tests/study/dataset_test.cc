@@ -4,7 +4,10 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <string>
+#include <vector>
 
+#include "obs/span.h"
 #include "util/csv.h"
 
 namespace wafp::study {
@@ -130,6 +133,24 @@ TEST(DatasetTest, InvalidVectorAccessThrows) {
   EXPECT_THROW(
       (void)ds.static_observation(0, fingerprint::VectorId::kDc),
       std::invalid_argument);
+}
+
+TEST(DatasetTest, CollectSpansNestByLeafName) {
+  // Span names are leaves; nesting builds the path. A qualified name at the
+  // call site would print "study/collect/study/collect/prewarm".
+  StudyConfig cfg;
+  cfg.num_users = 3;
+  cfg.iterations = 2;
+  cfg.seed = 77;
+  cfg.threads = 1;
+  obs::ScopedTraceCapture capture;
+  (void)Dataset::collect(cfg);
+  std::vector<std::string> paths;
+  for (const obs::SpanEvent& event : capture.events()) {
+    paths.push_back(event.path);
+  }
+  EXPECT_EQ(paths, (std::vector<std::string>{"study/collect/prewarm",
+                                             "study/collect"}));
 }
 
 }  // namespace

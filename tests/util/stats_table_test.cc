@@ -39,7 +39,6 @@ TEST(StatsTest, ValueCounts) {
 TEST(StatsTest, LogFactorial) {
   EXPECT_NEAR(ln_factorial(0), 0.0, 1e-12);
   EXPECT_NEAR(ln_factorial(5), std::log(120.0), 1e-9);
-  EXPECT_NEAR(log_factorial(10), std::log2(3628800.0), 1e-9);
 }
 
 TEST(TextTableTest, RendersAlignedColumns) {
