@@ -1,6 +1,6 @@
 // Longitudinal drift-scenario soak benchmark: a synthetic 100k+-user
-// cohort streamed over 50+ epochs through the CollationEngine (single or
-// sharded), with per-epoch verification (FMR/FNMR), anonymity-set stats,
+// cohort streamed over 50+ epochs through the collation engine (at any
+// shard count), with per-epoch verification (FMR/FNMR), anonymity-set stats,
 // and collation churn scored along the way. Emits machine-readable
 // BENCH_drift.json carrying the wafp_scenario_* metric families so the
 // bench-smoke CI job can gate on schema and scale floors.
@@ -46,7 +46,8 @@ int main(int argc, char** argv) {
   flags.flag("--out", &out_path, "output JSON path");
   flags.flag("--users", &config.num_users, "cohort size");
   flags.flag("--epochs", &config.epochs, "epochs incl. enrollment");
-  flags.flag("--shards", &config.shards, "engine shards (0 = single loop)");
+  flags.flag("--shards", &config.shards,
+             "collation engine shards (default 1; 0 is read as 1)");
   flags.flag("--threads", &config.threads,
              "digest-generation threads (0 = all cores)");
   flags.flag("--stack-swap-rate", &config.drift.stack_swap_rate,

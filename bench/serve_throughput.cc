@@ -23,6 +23,7 @@
 
 #include "dsp/fft.h"
 #include "fingerprint/vector.h"
+#include "fingerprint/vector_registry.h"
 #include "obs/metrics.h"
 #include "platform/catalog.h"
 #include "platform/population.h"
@@ -53,11 +54,11 @@ struct RequestSpec {
 /// naturally duplicate-heavy — exactly the serving workload the coalescer
 /// exists for.
 std::vector<RequestSpec> make_stream(const platform::Population& population) {
+  const auto ids = fingerprint::VectorRegistry::instance().audio_ids();
   std::vector<RequestSpec> stream;
-  stream.reserve(population.users().size() *
-                 fingerprint::audio_vector_ids().size() * 2);
+  stream.reserve(population.users().size() * ids.size() * 2);
   for (const platform::StudyUser& user : population.users()) {
-    for (const fingerprint::VectorId id : fingerprint::audio_vector_ids()) {
+    for (const fingerprint::VectorId id : ids) {
       for (const std::uint32_t jitter : {0u, 1u}) {
         stream.push_back(
             {&fingerprint::audio_vector(id), &user.profile, jitter});

@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "obs/metrics.h"
-#include "service/sharded_collation_service.h"
+#include "service/collation_service.h"
 #include "util/flags.h"
 #include "util/hash.h"
 
@@ -64,9 +64,7 @@ struct RunResult {
 
 RunResult ingest(const std::vector<service::RawSubmission>& trace,
                  const service::ServiceConfig& config) {
-  // Through the CollationEngine interface, like every other consumer.
-  const std::unique_ptr<service::CollationEngine> svc =
-      service::make_engine(config, /*shards=*/0);
+  const auto svc = std::make_unique<service::CollationService>(config);
   const auto start = Clock::now();
   for (const auto& raw : trace) {
     auto result = svc->submit(raw);

@@ -1,15 +1,16 @@
 // Sharded collation-engine benchmark: a million-user synthetic submission
-// trace through the ShardedCollationService router (validate -> route ->
+// trace through the CollationService router (validate -> route ->
 // per-shard queue/WAL/graph), emitting machine-readable BENCH_shard.json
 // with ingest throughput and the p99 ingest->apply latency drawn from the
 // wafp_service_ingest_apply_ns histogram.
 //
 // Two phases, and the binary exits 1 if either parity gate fails:
-//   1. parity sweep  — one trace replayed through the single-loop engine
-//      and at 1/2/8 shards; every component_checksum must agree (sharding
-//      is an implementation detail, not an observable).
+//   1. parity sweep  — one trace replayed at 1, 2 and 8 shards; every
+//      component_checksum must agree (sharding is an implementation
+//      detail, not an observable).
 //   2. main ingest   — >=1M distinct simulated users at --shards shards,
-//      cross-checked against a single-engine run of the same trace.
+//      cross-checked against a one-shard run of the same trace
+//      (single_submissions_per_sec).
 //
 //   ./build/bench/shard_throughput [--smoke] [--out FILE] [--shards N]
 //                                  [--submissions N] [--users N]
@@ -21,7 +22,7 @@
 #include <vector>
 
 #include "obs/metrics.h"
-#include "service/sharded_collation_service.h"
+#include "service/collation_service.h"
 #include "util/flags.h"
 #include "util/hash.h"
 
@@ -75,10 +76,10 @@ struct RunResult {
   std::uint64_t cross_shard_users = 0;
 };
 
-/// Replay `trace` through a fresh engine (`shards == 0` selects the
-/// single-loop CollationService). Runs against `registry` when given
-/// (so the emitted metrics block reflects that run), otherwise a private
-/// registry — either way the p99 covers exactly this run.
+/// Replay `trace` through a fresh in-memory engine with `shards` shards
+/// (0 is read as 1). Runs against `registry` when given (so the emitted
+/// metrics block reflects that run), otherwise a private registry — either
+/// way the p99 covers exactly this run.
 RunResult ingest(const std::vector<service::RawSubmission>& trace,
                  std::size_t shards,
                  obs::MetricsRegistry* registry = nullptr) {
@@ -86,8 +87,7 @@ RunResult ingest(const std::vector<service::RawSubmission>& trace,
   obs::MetricsRegistry& metrics = registry != nullptr ? *registry : own;
   service::ServiceConfig config;
   config.metrics = &metrics;
-  const std::unique_ptr<service::CollationEngine> svc =
-      service::make_engine(config, shards);
+  const auto svc = service::make_engine(config, shards);
   const auto start = Clock::now();
   std::size_t since_pump = 0;
   for (const auto& raw : trace) {
@@ -111,12 +111,9 @@ RunResult ingest(const std::vector<service::RawSubmission>& trace,
   r.checksum = svc->component_checksum();
   r.p99_ingest_apply_ns =
       metrics.histogram("wafp_service_ingest_apply_ns").snapshot().p99();
-  if (const auto* sharded =
-          dynamic_cast<const service::ShardedCollationService*>(svc.get())) {
-    const auto stats = sharded->sharded_stats();
-    r.migration_records = stats.migration_records;
-    r.cross_shard_users = stats.cross_shard_users;
-  }
+  const service::ShardedStats stats = svc->sharded_stats();
+  r.migration_records = stats.migration_records;
+  r.cross_shard_users = stats.cross_shard_users;
   return r;
 }
 
@@ -142,30 +139,30 @@ int main(int argc, char** argv) {
     users = std::min<std::size_t>(users, 5000);
   }
 
-  // 1) Parity sweep: the same modest trace at 1/2/8 shards, checked
-  //    against the single-loop engine. A checksum divergence here means a
-  //    routing or merge bug, which no throughput number can excuse.
+  // 1) Parity sweep: the same modest trace at 2 and 8 shards, checked
+  //    against one shard. A checksum divergence here means a routing or
+  //    merge bug, which no throughput number can excuse.
   const std::size_t parity_n = smoke ? 5000 : 60000;
   const std::size_t parity_users = smoke ? 500 : 6000;
   const auto parity_trace =
       make_trace(parity_n, parity_users, parity_users / 8 + 1);
-  const RunResult single = ingest(parity_trace, /*shards=*/0);
+  const RunResult single = ingest(parity_trace, /*shards=*/1);
+  std::printf("parity 1 shard : checksum %016llx (reference)\n",
+              static_cast<unsigned long long>(single.checksum));
   bool parity = true;
-  for (const std::size_t count : {std::size_t{1}, std::size_t{2},
-                                  std::size_t{8}}) {
+  for (const std::size_t count : {std::size_t{2}, std::size_t{8}}) {
     const RunResult sharded = ingest(parity_trace, count);
     const bool ok = sharded.checksum == single.checksum;
     parity = parity && ok;
-    std::printf("parity %zu shard%s: checksum %016llx (%s)\n", count,
-                count == 1 ? " " : "s",
+    std::printf("parity %zu shards: checksum %016llx (%s)\n", count,
                 static_cast<unsigned long long>(sharded.checksum),
                 ok ? "ok" : "MISMATCH");
   }
 
   // 2) Main ingest: >=1M distinct users through the sharded router — run
   //    on the global registry so the emitted metrics block carries the
-  //    wafp_shard_* families — with a single-engine run of the identical
-  //    trace as the second witness.
+  //    wafp_shard_* families — with a one-shard run of the identical trace
+  //    as the second witness.
   const auto trace = make_trace(submissions, users, users / 8 + 1);
   const RunResult main_run =
       ingest(trace, shards, &obs::MetricsRegistry::global());
@@ -177,8 +174,8 @@ int main(int argc, char** argv) {
   std::printf("migrations: %llu records, %llu cross-shard users\n",
               static_cast<unsigned long long>(main_run.migration_records),
               static_cast<unsigned long long>(main_run.cross_shard_users));
-  const RunResult baseline = ingest(trace, /*shards=*/0);
-  std::printf("single    : %.3fs (%.0f/s)\n", baseline.seconds,
+  const RunResult baseline = ingest(trace, /*shards=*/1);
+  std::printf("one shard : %.3fs (%.0f/s)\n", baseline.seconds,
               static_cast<double>(submissions) / baseline.seconds);
   const bool main_parity = main_run.checksum == baseline.checksum;
   parity = parity && main_parity;

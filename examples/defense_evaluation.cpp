@@ -41,7 +41,7 @@ DefenseResult evaluate(const platform::Population& population, bool defended) {
   constexpr std::uint32_t kIterationsPerSession = 4;
 
   fingerprint::RenderCache cache;
-  fingerprint::FingerprintCollector collector(cache);
+  fingerprint::FingerprintCollector collector({&cache});
 
   auto session_digest = [&](const platform::StudyUser& user,
                             std::uint32_t session, std::uint32_t iteration) {

@@ -36,7 +36,8 @@ int main(int argc, char** argv) {
   flags.flag("--users", &config.num_users, "cohort size");
   flags.flag("--epochs", &config.epochs,
              "epochs incl. enrollment (epoch 0 never probes)");
-  flags.flag("--shards", &config.shards, "engine shards (0 = single loop)");
+  flags.flag("--shards", &config.shards,
+             "collation engine shards (default 1; 0 is read as 1)");
   flags.flag("--stack-swap-rate", &config.drift.stack_swap_rate,
              "per-user per-epoch browser/libm upgrade probability");
   flags.flag("--simd-rate", &config.drift.simd_tier_rate,

@@ -33,7 +33,7 @@ int main() {
   std::printf("  Country  : %s\n\n", user.profile.country.c_str());
 
   fingerprint::RenderCache cache;
-  fingerprint::FingerprintCollector collector(cache);
+  fingerprint::FingerprintCollector collector({&cache});
 
   std::printf("Audio fingerprints (3 iterations each):\n");
   const auto audio_ids =

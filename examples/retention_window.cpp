@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
   const platform::DeviceCatalog catalog;
   const platform::Population population(catalog, num_users, 1212);
   fingerprint::RenderCache cache;
-  fingerprint::FingerprintCollector collector(cache);
+  fingerprint::FingerprintCollector collector({&cache});
   collation::ExpiringFingerprintGraph graph(num_users * 40);
 
   // Visit model: each user visits on day (id % 7), then weekly; a third of

@@ -7,8 +7,7 @@
 //
 //   ./build/examples/tracking_server [num_visitors]
 //       [--state-dir DIR]     persist WAL + snapshots (and recover on start)
-//       [--shards N]          run the sharded engine with N shards (0 =
-//                             single-loop CollationService)
+//       [--shards N]          collation engine shard count (default 1)
 //       [--snapshot-every N]  checkpoint cadence in applied submissions
 //       [--fsync-wal]         fdatasync every WAL append (durable mode)
 //       [--drop-every N] [--dup-every N]  deterministic fault injection
@@ -21,6 +20,7 @@
 #include <cstdio>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <vector>
 
 #include "fingerprint/collector.h"
@@ -28,7 +28,7 @@
 #include "platform/catalog.h"
 #include "platform/population.h"
 #include "serve/render_service.h"
-#include "service/sharded_collation_service.h"
+#include "service/collation_service.h"
 #include "util/flags.h"
 
 int main(int argc, char** argv) {
@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
   std::size_t num_visitors = 400;
   std::size_t metrics_every = 0;
   std::size_t render_workers = 0;
-  std::size_t shards = 0;
+  std::size_t shards = 1;
   service::ServiceConfig config;
   util::FlagParser flags("tracking_server",
                          "Online fingerprint collation demo (paper §3.2): "
@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
   flags.flag("--state-dir", &config.state_dir,
              "persist WAL + snapshots here and recover on start");
   flags.flag("--shards", &shards,
-             "shard the collation engine this many ways (0 = single loop)");
+             "collation engine shard count (0 is read as 1)");
   flags.flag("--snapshot-every", &config.snapshot_every,
              "checkpoint cadence in applied submissions");
   flags.flag("--fsync-wal", &config.fsync_wal,
@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
   const platform::DeviceCatalog catalog;
   const platform::Population population(catalog, num_visitors, 99);
   fingerprint::RenderCache cache;
-  fingerprint::FingerprintCollector collector(cache);
+  fingerprint::FingerprintCollector collector({&cache});
 
   // With --render-workers, renders route through the continuous-batching
   // RenderService over the collector's shared cache: concurrent visitors
@@ -98,14 +98,18 @@ int main(int argc, char** argv) {
     return render_service->render(vec, user.profile, jitter.state);
   };
 
-  // 0 shards = the classic single-loop service; N >= 1 = the sharded
-  // engine. Everything below this line only sees the CollationEngine
-  // interface, so the two deployments share one code path.
-  const std::unique_ptr<service::CollationEngine> engine =
-      service::make_engine(config, shards);
-  service::CollationEngine& svc = *engine;
-  if (shards > 0) {
-    std::printf("Sharded collation engine: %zu shards\n", shards);
+  std::unique_ptr<service::CollationService> engine;
+  try {
+    engine = service::make_engine(config, shards);
+  } catch (const std::runtime_error& e) {
+    // A state dir this engine must not open (ShardLayoutError) or cannot
+    // trust (SnapshotCorruptError).
+    std::fprintf(stderr, "tracking_server: %s\n", e.what());
+    return 1;
+  }
+  service::CollationService& svc = *engine;
+  if (svc.shard_count() > 1) {
+    std::printf("Sharded collation engine: %zu shards\n", svc.shard_count());
   }
   {
     const auto s = svc.stats();

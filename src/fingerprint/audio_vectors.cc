@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "fingerprint/vector.h"
-#include "fingerprint/vector_registry.h"
 #include "webaudio/analyser_node.h"
 #include "webaudio/channel_merger_node.h"
 #include "webaudio/dynamics_compressor_node.h"
@@ -331,11 +330,6 @@ std::string_view to_string(VectorId id) {
 
 // Defined in extension_vectors.cc.
 const AudioFingerprintVector& extension_vector_instance(VectorId id);
-
-std::span<const VectorId> audio_vector_ids() {
-  // Deprecated wrapper: the registry owns the canonical catalogue now.
-  return VectorRegistry::instance().audio_ids();
-}
 
 const AudioFingerprintVector& audio_vector(VectorId id) {
   static const DcVector dc;

@@ -25,16 +25,7 @@ RenderCache& checked_cache(RenderCache* cache) {
   return *cache;
 }
 
-CollectorOptions legacy_options(RenderCache& cache) {
-  CollectorOptions options;
-  options.cache = &cache;
-  return options;
-}
-
 }  // namespace
-
-FingerprintCollector::FingerprintCollector(RenderCache& cache)
-    : FingerprintCollector(legacy_options(cache)) {}
 
 FingerprintCollector::FingerprintCollector(const CollectorOptions& options)
     : cache_(checked_cache(options.cache)),

@@ -40,17 +40,12 @@ struct CollectorOptions {
   /// Timestamp source for the collect-latency histogram; unset = the
   /// registry's clock (which tests can also override via
   /// MetricsRegistry::set_clock). Mirrors ServiceConfig::sleeper.
-  obs::ClockFn clock;
+  obs::ClockFn clock = {};
 };
 
 class FingerprintCollector {
  public:
   explicit FingerprintCollector(const CollectorOptions& options);
-
-  /// Deprecated: legacy constructor kept for source compatibility; wraps
-  /// CollectorOptions{&cache} (global registry, registry clock). Prefer the
-  /// options form; will be removed next release.
-  explicit FingerprintCollector(RenderCache& cache);
 
   /// Deterministically draw the jitter state for (user, vector, iteration):
   /// an event occurs with probability min(0.93, flakiness * susceptibility);

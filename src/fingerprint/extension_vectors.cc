@@ -12,7 +12,6 @@
 #include <numbers>
 
 #include "fingerprint/vector.h"
-#include "fingerprint/vector_registry.h"
 #include "webaudio/analyser_node.h"
 #include "webaudio/biquad_filter_node.h"
 #include "webaudio/dynamics_compressor_node.h"
@@ -152,11 +151,6 @@ class DistortionVector final : public AudioFingerprintVector {
 };
 
 }  // namespace
-
-std::span<const VectorId> extension_vector_ids() {
-  // Deprecated wrapper: the registry owns the canonical catalogue now.
-  return VectorRegistry::instance().extension_ids();
-}
 
 const AudioFingerprintVector& extension_vector_instance(VectorId id) {
   static const FilterSweepVector filter_sweep;

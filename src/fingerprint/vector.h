@@ -40,16 +40,6 @@ enum class VectorId {
 
 [[nodiscard]] std::string_view to_string(VectorId id);
 
-/// The seven Web Audio vectors, in the paper's table order.
-/// Deprecated: thin wrapper over VectorRegistry::instance().audio_ids()
-/// (see fingerprint/vector_registry.h); will be removed next release.
-[[nodiscard]] std::span<const VectorId> audio_vector_ids();
-
-/// The post-paper extension vectors (see extension_vectors.cc).
-/// Deprecated: thin wrapper over VectorRegistry::instance().extension_ids();
-/// will be removed next release.
-[[nodiscard]] std::span<const VectorId> extension_vector_ids();
-
 /// Funnels a vector's characteristic output into its digest and, when a
 /// capture buffer is supplied, records the exact float stream the digest
 /// covers — in hash order. Every sample that can influence a fingerprint

@@ -1,12 +1,8 @@
 // Unified fingerprinting-vector registry.
 //
-// Historically the public API split the vector catalogue three ways —
-// audio_vector_ids(), extension_vector_ids(), and the implicit "static"
-// set hard-coded at every call site — and callers stitched the spans back
-// together by hand. VectorRegistry collapses that into one lookup surface:
-// resolve a VectorId (or its display name) to the vector instance plus its
-// capability flags, and iterate whichever slice you need. The old free
-// functions in vector.h remain as thin deprecated wrappers for one release.
+// The one lookup surface for the vector catalogue: resolve a VectorId (or
+// its display name) to the vector instance plus its capability flags, and
+// iterate whichever slice you need (audio, extension, static).
 #pragma once
 
 #include <span>

@@ -5,7 +5,6 @@
 #include <optional>
 #include <unordered_map>
 
-#include "service/sharded_collation_service.h"
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -13,7 +12,7 @@ namespace wafp::scenario {
 namespace {
 
 /// Submit with the standard backpressure loop (kQueueFull = pump + retry).
-void submit_pumping(service::CollationEngine& engine,
+void submit_pumping(service::CollationService& engine,
                     const service::RawSubmission& raw) {
   auto result = engine.submit(raw);
   while (result.reason == service::Reject::kQueueFull) {
@@ -109,7 +108,7 @@ ScenarioResult ScenarioRunner::run() {
 
   ScenarioStream stream(*population_, config_.source, config_.vectors,
                         config_.threads);
-  std::unique_ptr<service::CollationEngine> engine =
+  std::unique_ptr<service::CollationService> engine =
       service::make_engine(config_.service, config_.shards);
 
   const std::size_t users = population_->size();

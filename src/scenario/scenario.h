@@ -1,4 +1,4 @@
-// ScenarioRunner: streams a drift scenario through a CollationEngine and
+// ScenarioRunner: streams a drift scenario through a CollationService and
 // scores verification per epoch (DESIGN.md §3k).
 //
 // Verification spec (normative — the brute-force RefVerifier in
@@ -24,8 +24,8 @@
 //     churn against the previous epoch's labels (analysis::pair_churn).
 //
 // All metrics depend only on the equality structure of cluster ids, never
-// their values, so single-loop and sharded engines — whose internal ids
-// differ — must produce identical VerificationEpoch records.
+// their values, so every shard count — whose internal ids differ — must
+// produce identical VerificationEpoch records.
 #pragma once
 
 #include <cstdint>
@@ -52,9 +52,9 @@ struct ScenarioConfig {
   /// Empty = default_scenario_vectors() (7 audio + 2 compute).
   std::vector<fingerprint::VectorId> vectors;
 
-  /// Engine selection, as service::make_engine: 0 = single loop, >= 1 =
-  /// that many shards. config.service.state_dir empty = in-memory.
-  std::size_t shards = 0;
+  /// Collation engine shard count, as service::make_engine (0 is read as
+  /// 1). config.service.state_dir empty = in-memory.
+  std::size_t shards = 1;
   service::ServiceConfig service;
   /// Crash + recover the engine after every k ingested epochs (0 = never);
   /// requires a non-empty state_dir.

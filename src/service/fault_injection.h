@@ -25,12 +25,14 @@ struct FaultPlan {
   /// NOT change the collated components — add_observation is idempotent).
   std::uint64_t duplicate_every = 0;
 
-  /// Swap every Nth accepted submission with the one enqueued after it
-  /// (pairwise reordering; must not change components either).
+  /// Swap every Nth accepted submission with the one queued before it on
+  /// the same shard (pairwise reordering; must not change components
+  /// either).
   std::uint64_t reorder_every = 0;
 
-  /// Fail WAL append number N transiently: the first attempt reports
-  /// failure, the retry succeeds. Exercises the retry/backoff policy.
+  /// Fail WAL append number N of each shard transiently: the first attempt
+  /// reports failure, the retry succeeds. Exercises the retry/backoff
+  /// policy.
   std::uint64_t fail_append_at = 0;
 
   /// Fail every Nth WAL append transiently (as above, recurring).
@@ -45,16 +47,11 @@ struct FaultPlan {
   bool corrupt_snapshot = false;
 };
 
-/// Per-service mutable fault state (the plan is immutable config; the
-/// counters advance as events happen).
-struct FaultClock {
-  std::uint64_t accepted = 0;  // accepted-submission ordinal
-  std::uint64_t appends = 0;   // WAL append-attempt ordinal (per record)
-
-  /// True when ordinal `n` (1-based) matches a `every`-style period.
-  [[nodiscard]] static bool hits(std::uint64_t n, std::uint64_t every) {
-    return every != 0 && n % every == 0;
-  }
-};
+/// True when 1-based ordinal `n` matches an `every`-style period. The
+/// engine's router counts accepted submissions (drop, duplicate, reorder);
+/// each shard counts its own WAL appends (the append faults).
+[[nodiscard]] inline bool fault_hits(std::uint64_t n, std::uint64_t every) {
+  return every != 0 && n % every == 0;
+}
 
 }  // namespace wafp::service

@@ -75,13 +75,15 @@ void check_or_pin_shard_layout(const std::string& root,
     }
     return;
   }
-  // No meta: the directory must be fresh. A single-engine layout or stray
-  // shard directories mean prior state whose routing we cannot know.
+  // No meta: the directory must be fresh. The older single-loop engine's
+  // layout or stray shard directories mean prior state whose routing we
+  // cannot know.
   if (std::filesystem::exists(std::filesystem::path(root) /
                               "submissions.wal")) {
     throw ShardLayoutError(
-        root + " holds single-engine CollationService state "
-        "(submissions.wal); it cannot be opened as a sharded state dir");
+        root + " holds state from the older single-loop engine "
+        "(submissions.wal in the root, no shards.meta); the engine only "
+        "opens the shards.meta + shard-<i>/ layout");
   }
   for (std::size_t i = 0; i < 2; ++i) {
     // Probing shard-0/shard-1 catches every plausible orphaned layout:

@@ -1,5 +1,5 @@
-// Shard routing and on-disk layout metadata for the sharded collation
-// engine (DESIGN.md §3j).
+// Shard routing and on-disk layout metadata for the collation engine
+// (DESIGN.md §3j).
 //
 // The bipartite user↔fingerprint graph is partitioned by *fingerprint*
 // hash: every edge (user, efp) lives on exactly one shard, so elementary
@@ -21,9 +21,10 @@ namespace wafp::service {
 
 /// Thrown when a state directory's recorded shard layout conflicts with
 /// the configuration trying to open it (different shard count, foreign or
-/// unreadable metadata, or a single-engine layout). Recovery refuses to
-/// proceed: replaying shard k's WAL under a different modulus would route
-/// edges to the wrong graphs and silently corrupt the partition.
+/// unreadable metadata, or state from the older single-loop engine).
+/// Recovery refuses to proceed: replaying shard k's WAL under a different
+/// modulus would route edges to the wrong graphs and silently corrupt the
+/// partition.
 class ShardLayoutError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -53,8 +54,9 @@ void write_shard_meta(const std::string& root, std::size_t shard_count);
 ///   * fresh directory (no meta, no shard state) => writes the meta;
 ///   * meta present and matching                 => ok;
 ///   * meta present but different count, meta unparseable, shard state
-///     with no meta, or a single-engine layout (submissions.wal) in root
-///     => throws ShardLayoutError naming the conflict.
+///     with no meta, or the older single-loop engine's layout
+///     (submissions.wal in root) => throws ShardLayoutError naming the
+///     conflict. That layout is refused, not migrated.
 void check_or_pin_shard_layout(const std::string& root,
                                std::size_t shard_count);
 

@@ -135,7 +135,7 @@ std::size_t Dataset::audio_vector_index(fingerprint::VectorId id) {
     const auto ids = fingerprint::VectorRegistry::instance().audio_ids();
     for (std::size_t i = 0; i < ids.size(); ++i) {
       WAFP_CHECK(ids[i] == static_cast<fingerprint::VectorId>(i))
-          << "audio_vector_ids() order changed at index " << i;
+          << "VectorRegistry::audio_ids() order changed at index " << i;
     }
     return true;
   }();

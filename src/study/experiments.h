@@ -83,7 +83,7 @@ struct AgreementPoint {
 // --- Fig. 9: cross-vector agreement ----------------------------------------
 
 /// 7x7 AMI matrix between the audio vectors' collated clusterings, in
-/// audio_vector_ids() order.
+/// VectorRegistry::audio_ids() order.
 [[nodiscard]] std::vector<std::vector<double>> cross_vector_agreement(
     const Dataset& ds);
 

@@ -3,7 +3,7 @@
 #include <memory>
 
 #include "collation/fingerprint_graph.h"
-#include "service/sharded_collation_service.h"
+#include "service/collation_service.h"
 
 namespace wafp::study {
 
@@ -19,9 +19,9 @@ ServiceParityReport service_collation_parity(const Dataset& dataset,
   config.state_dir = state_dir;
   config.faults = faults;
   config.snapshot_every = 512;
-  const std::unique_ptr<service::CollationEngine> engine =
+  const std::unique_ptr<service::CollationService> engine =
       service::make_engine(config, shards);
-  service::CollationEngine& svc = *engine;
+  service::CollationService& svc = *engine;
 
   for (std::size_t user = 0; user < dataset.num_users(); ++user) {
     std::uint64_t visit = 0;

@@ -28,9 +28,9 @@ struct ServiceParityReport {
 };
 
 /// Submit every (user, iteration) digest of `vector` through a collation
-/// engine and compare components with the direct graph. `shards == 0`
-/// selects the single-loop CollationService, `shards >= 1` the sharded
-/// engine (see service::make_engine) — parity must hold either way.
+/// engine with `shards` shards (as service::make_engine, 0 is read as 1)
+/// and compare components with the direct graph — parity must hold at
+/// every shard count.
 /// `state_dir` empty = in-memory service; otherwise the service checkpoints
 /// there (and the comparison exercises WAL + snapshot codepaths too).
 /// `faults` lets callers schedule duplicate/reorder noise — the checksums
@@ -39,6 +39,6 @@ struct ServiceParityReport {
 [[nodiscard]] ServiceParityReport service_collation_parity(
     const Dataset& dataset, fingerprint::VectorId vector,
     const service::FaultPlan& faults = {}, const std::string& state_dir = {},
-    std::size_t shards = 0);
+    std::size_t shards = 1);
 
 }  // namespace wafp::study

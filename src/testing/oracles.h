@@ -132,7 +132,7 @@ struct CollationOp {
 
 /// Brute-force partition checksum of a trace after the explicit network
 /// drop model (drop every `drop_every`th submission, 1-based ordinals;
-/// 0 = lossless). The oracle for CollationEngine::component_checksum().
+/// 0 = lossless). The oracle for CollationService::component_checksum().
 [[nodiscard]] std::uint64_t brute_force_submission_checksum(
     std::span<const service::RawSubmission> trace,
     std::uint64_t drop_every = 0);

@@ -1,17 +1,15 @@
 // Differential testing of the collation service under fault injection:
 // deterministic submission traces (from the shared op-sequence generator)
-// run through a CollationEngine with drop/duplicate/reorder/append-fail
-// fault plans and kill-every-k crash-recovery loops, and the resulting
-// partition checksum is compared against the brute-force RefBipartiteGraph
-// — an oracle that shares no code with the union-find, the WAL, or the
-// snapshot path. Duplicates, reorders, transient append failures, and
-// crashes must be invisible in the checksum; drops must match an explicit
-// brute-force drop model, not merely "some other" result.
+// run through a one-shard CollationService with drop/duplicate/reorder/
+// append-fail fault plans and kill-every-k crash-recovery loops, and the
+// resulting partition checksum is compared against the brute-force
+// RefBipartiteGraph — an oracle that shares no code with the union-find,
+// the WAL, or the snapshot path. Duplicates, reorders, transient append
+// failures, and crashes must be invisible in the checksum; drops must match
+// an explicit brute-force drop model, not merely "some other" result.
 //
-// Everything here drives the abstract CollationEngine interface (via
-// make_engine), so the same assertions hold verbatim for any engine; the
-// sharded engine's suite (sharded_oracle_test.cc) reuses the same shared
-// trace and oracle helpers.
+// The multi-shard suite (sharded_oracle_test.cc) reuses the same shared
+// trace and oracle helpers at 1/2/8 shards.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -20,7 +18,7 @@
 #include <string>
 #include <vector>
 
-#include "service/sharded_collation_service.h"
+#include "service/collation_service.h"
 #include "testing/oracles.h"
 
 namespace wafp::testing {
@@ -29,8 +27,8 @@ namespace {
 TEST(ServiceOracleTest, CleanRunMatchesBruteForce) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     const auto trace = make_submission_trace(seed, 200);
-    const auto svc = service::make_engine(service::ServiceConfig{},
-                                          /*shards=*/0);
+    const auto svc = std::make_unique<service::CollationService>(
+        service::ServiceConfig{});
     for (const auto& raw : trace) {
       ASSERT_TRUE(svc->submit(raw).accepted());
     }
@@ -55,7 +53,7 @@ TEST(ServiceOracleTest, DuplicateReorderAndAppendFaultsAreInvisible) {
     config.faults.fail_append_at = 3;     // one transient failure early...
     config.faults.fail_append_every = 41; // ...and recurring ones after
     config.sleeper = [](std::chrono::milliseconds) {};  // no real backoff
-    const auto svc = service::make_engine(config, /*shards=*/0);
+    const auto svc = std::make_unique<service::CollationService>(config);
     for (const auto& raw : trace) {
       ASSERT_TRUE(svc->submit(raw).accepted());
     }
@@ -78,7 +76,7 @@ TEST(ServiceOracleTest, DropFaultsMatchTheBruteForceDropModel) {
     const auto trace = make_submission_trace(seed, 200);
     service::ServiceConfig config;
     config.faults.drop_every = drop_every;
-    const auto svc = service::make_engine(config, /*shards=*/0);
+    const auto svc = std::make_unique<service::CollationService>(config);
     for (const auto& raw : trace) {
       ASSERT_TRUE(svc->submit(raw).accepted());  // drops still ack
     }
@@ -105,14 +103,14 @@ TEST(ServiceOracleTest, KillEveryKRecoveryMatchesBruteForce) {
       config.faults.reorder_every = 9;
       return config;
     };
-    auto svc = service::make_engine(make_config(), /*shards=*/0);
+    auto svc = std::make_unique<service::CollationService>(make_config());
     const std::size_t kill_every = 17 + seed;  // vary the crash cadence
     for (std::size_t i = 0; i < trace.size(); ++i) {
       ASSERT_TRUE(svc->submit(trace[i]).accepted()) << "submission " << i;
       svc->pump();  // durable before the crash window opens
       if ((i + 1) % kill_every == 0) {
         svc->crash();
-        svc = service::make_engine(make_config(), /*shards=*/0);
+        svc = std::make_unique<service::CollationService>(make_config());
       }
     }
     svc->pump();

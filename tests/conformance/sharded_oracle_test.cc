@@ -1,9 +1,8 @@
-// Differential testing of the *sharded* collation engine: the same
-// 540-sequence brute-force oracle budget as the single-engine suite
-// (260 clean + 160 fault-injected + 120 kill-every-k durable sequences),
-// but every sequence is replayed at several shard counts and the merged
-// partition checksum must agree with BOTH the brute-force
-// RefBipartiteGraph oracle and a single-shard CollationService run on the
+// Differential testing of the collation engine across shard counts: a
+// 540-sequence brute-force oracle budget (260 clean + 160 fault-injected +
+// 120 kill-every-k durable sequences), every sequence replayed at several
+// shard counts, and the partition checksum must agree with BOTH the
+// brute-force RefBipartiteGraph oracle and a one-shard run on the
 // byte-identical trace. Sharding is an implementation detail of the
 // engine; if any shard count can be told apart through
 // component_checksum(), that is a routing, merge, or recovery bug.
@@ -15,7 +14,7 @@
 #include <string>
 #include <vector>
 
-#include "service/sharded_collation_service.h"
+#include "service/collation_service.h"
 #include "testing/oracles.h"
 
 namespace wafp::testing {
@@ -24,12 +23,11 @@ namespace {
 constexpr std::size_t kShardCounts[] = {1, 2, 8};
 constexpr std::size_t kOpsPerSequence = 120;
 
-/// Replay `trace` through a single-loop CollationService (via the engine
-/// interface) and return its partition checksum — the second witness the
-/// sharded runs must agree with.
+/// Replay `trace` through a one-shard engine and return its partition
+/// checksum — the second witness every shard count must agree with.
 std::uint64_t single_checksum(const std::vector<service::RawSubmission>& trace,
                               const service::ServiceConfig& config) {
-  const auto svc = service::make_engine(config, /*shards=*/0);
+  const auto svc = service::make_engine(config, /*shards=*/1);
   for (const auto& raw : trace) {
     EXPECT_TRUE(svc->submit(raw).accepted());
   }
@@ -38,8 +36,8 @@ std::uint64_t single_checksum(const std::vector<service::RawSubmission>& trace,
 }
 
 // 260 clean in-memory sequences, each replayed at 1/2/8 shards: merged
-// checksum == brute force == single engine, and the aggregate stats agree
-// with the single engine's ingest counters.
+// checksum == brute force == one-shard run, and the aggregate stats agree
+// with the trace.
 TEST(ShardedOracleTest, CleanParityAcrossShardCounts) {
   for (std::uint64_t seed = 1; seed <= 260; ++seed) {
     const auto trace = make_submission_trace(seed, kOpsPerSequence);
@@ -64,10 +62,10 @@ TEST(ShardedOracleTest, CleanParityAcrossShardCounts) {
   }
 }
 
-// 160 fault-injected sequences: network faults (drop/duplicate) run at the
-// router with global ordinals and storage faults run per shard, so every
-// shard count must land on the identical checksum — the brute-force drop
-// model for drops, bit-parity for everything else.
+// 160 fault-injected sequences: network faults (drop/duplicate/reorder)
+// run at the router on its ordinals and storage faults run per shard, so
+// every shard count must land on the identical checksum — the brute-force
+// drop model for drops, bit-parity for everything else.
 TEST(ShardedOracleTest, FaultInjectedParityAcrossShardCounts) {
   const std::uint64_t drop_periods[] = {0, 3, 5, 11};
   for (std::uint64_t seed = 1; seed <= 160; ++seed) {

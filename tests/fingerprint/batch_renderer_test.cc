@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "fingerprint/vector.h"
+#include "fingerprint/vector_registry.h"
 #include "platform/catalog.h"
 #include "util/rng.h"
 
@@ -54,18 +55,18 @@ TEST(BatchRendererTest, WarmsCacheToPureHits) {
   RenderCache cache;
   BatchRenderer batch(cache);
   const auto p = profile_with_math(dsp::MathVariant::kTable);
-  for (const VectorId id : audio_vector_ids()) {
+  for (const VectorId id : VectorRegistry::instance().audio_ids()) {
     batch.request(audio_vector(id), p, 0);
   }
   const BatchRenderStats stats = batch.render_all();
   EXPECT_EQ(cache.misses(), stats.classes);
   // Every post-batch lookup is a hit and matches the direct render.
-  for (const VectorId id : audio_vector_ids()) {
+  for (const VectorId id : VectorRegistry::instance().audio_ids()) {
     const auto& vec = audio_vector(id);
     EXPECT_EQ(cache.get(vec, p, 0), vec.run(p, {}));
   }
   EXPECT_EQ(cache.misses(), stats.classes);
-  EXPECT_EQ(cache.hits(), audio_vector_ids().size());
+  EXPECT_EQ(cache.hits(), VectorRegistry::instance().audio_ids().size());
 }
 
 TEST(BatchRendererTest, RenderAllDrainsThePendingSet) {
@@ -88,7 +89,7 @@ TEST(BatchRendererTest, ParallelRenderMatchesSerial) {
   BatchRenderer serial(serial_cache);
   RenderCache parallel_cache;
   BatchRenderer parallel(parallel_cache);
-  for (const VectorId id : audio_vector_ids()) {
+  for (const VectorId id : VectorRegistry::instance().audio_ids()) {
     for (const auto* p : {&a, &b}) {
       serial.request(audio_vector(id), *p, 1);
       parallel.request(audio_vector(id), *p, 1);
@@ -96,7 +97,7 @@ TEST(BatchRendererTest, ParallelRenderMatchesSerial) {
   }
   (void)serial.render_all(1);
   (void)parallel.render_all(4);
-  for (const VectorId id : audio_vector_ids()) {
+  for (const VectorId id : VectorRegistry::instance().audio_ids()) {
     for (const auto* p : {&a, &b}) {
       EXPECT_EQ(serial_cache.get(audio_vector(id), *p, 1),
                 parallel_cache.get(audio_vector(id), *p, 1))

@@ -22,7 +22,7 @@ platform::StudyUser make_user(double flakiness, std::uint64_t seed = 42) {
 
 TEST(CollectorTest, StableUserAlwaysStateZero) {
   RenderCache cache;
-  FingerprintCollector collector(cache);
+  FingerprintCollector collector({&cache});
   const platform::StudyUser user = make_user(0.0);
   for (std::uint32_t it = 0; it < 50; ++it) {
     const auto jitter =
@@ -33,7 +33,7 @@ TEST(CollectorTest, StableUserAlwaysStateZero) {
 
 TEST(CollectorTest, DcNeverJittersEvenWhenFlaky) {
   RenderCache cache;
-  FingerprintCollector collector(cache);
+  FingerprintCollector collector({&cache});
   const platform::StudyUser user = make_user(0.8);
   for (std::uint32_t it = 0; it < 50; ++it) {
     const auto jitter =
@@ -44,7 +44,7 @@ TEST(CollectorTest, DcNeverJittersEvenWhenFlaky) {
 
 TEST(CollectorTest, DrawIsDeterministicPerIteration) {
   RenderCache cache;
-  FingerprintCollector collector(cache);
+  FingerprintCollector collector({&cache});
   const platform::StudyUser user = make_user(0.5);
   const auto& vector = audio_vector(VectorId::kAm);
   for (std::uint32_t it = 0; it < 20; ++it) {
@@ -57,7 +57,7 @@ TEST(CollectorTest, DrawIsDeterministicPerIteration) {
 
 TEST(CollectorTest, FlakyUserProducesEvents) {
   RenderCache cache;
-  FingerprintCollector collector(cache);
+  FingerprintCollector collector({&cache});
   const platform::StudyUser user = make_user(0.6);
   const auto& vector = audio_vector(VectorId::kAm);
   int events = 0;
@@ -71,7 +71,7 @@ TEST(CollectorTest, FlakyUserProducesEvents) {
 
 TEST(CollectorTest, JitterStatesWithinConfiguredRange) {
   RenderCache cache;
-  FingerprintCollector collector(cache);
+  FingerprintCollector collector({&cache});
   const platform::StudyUser user = make_user(0.7);
   const auto& vector = audio_vector(VectorId::kHybrid);
   for (std::uint32_t it = 0; it < 200; ++it) {
@@ -84,7 +84,7 @@ TEST(CollectorTest, CollectMatchesRenderedPathForNonChaos) {
   // The cached fast path must agree bit-for-bit with direct rendering for
   // stable and jitter-state draws.
   RenderCache cache;
-  FingerprintCollector collector(cache);
+  FingerprintCollector collector({&cache});
   const platform::StudyUser user = make_user(0.3);
   const auto& vector = audio_vector(VectorId::kHybrid);
   int compared = 0;
@@ -101,7 +101,7 @@ TEST(CollectorTest, CollectMatchesRenderedPathForNonChaos) {
 
 TEST(CollectorTest, ChaosDigestsAreUniquePerIteration) {
   RenderCache cache;
-  FingerprintCollector collector(cache);
+  FingerprintCollector collector({&cache});
   platform::StudyUser user = make_user(0.85);
   user.profile.fickle.jitter_share = 0.0;  // force chaos on every event
   std::set<util::Digest> chaos_digests;
@@ -122,7 +122,7 @@ TEST(CollectorTest, RenderedChaosPathAlsoUnique) {
   // produces distinct digests too (the fast path is equivalent in equality
   // structure).
   RenderCache cache;
-  FingerprintCollector collector(cache);
+  FingerprintCollector collector({&cache});
   platform::StudyUser user = make_user(0.85);
   user.profile.fickle.jitter_share = 0.0;
   std::set<util::Digest> digests;
@@ -140,7 +140,7 @@ TEST(CollectorTest, RenderedChaosPathAlsoUnique) {
 
 TEST(CollectorTest, CacheShrinksRenderCount) {
   RenderCache cache;
-  FingerprintCollector collector(cache);
+  FingerprintCollector collector({&cache});
   const platform::StudyUser user = make_user(0.0);
   for (std::uint32_t it = 0; it < 10; ++it) {
     (void)collector.collect(user, VectorId::kDc, it);
@@ -151,7 +151,7 @@ TEST(CollectorTest, CacheShrinksRenderCount) {
 
 TEST(CollectorTest, StaticVectorsStableAcrossIterations) {
   RenderCache cache;
-  FingerprintCollector collector(cache);
+  FingerprintCollector collector({&cache});
   const platform::StudyUser user = make_user(0.8);
   const util::Digest first = collector.collect(user, VectorId::kCanvas, 0);
   for (std::uint32_t it = 1; it < 5; ++it) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "fingerprint/vector.h"
+#include "fingerprint/vector_registry.h"
 #include "platform/catalog.h"
 #include "util/rng.h"
 
@@ -51,8 +52,8 @@ TEST_P(ExtensionVectorTest, RespondsToJitter) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Extensions, ExtensionVectorTest,
-                         ::testing::ValuesIn(extension_vector_ids().begin(),
-                                             extension_vector_ids().end()),
+                         ::testing::ValuesIn(
+                             VectorRegistry::instance().extension_ids()),
                          [](const auto& info) {
                            std::string name(to_string(info.param));
                            for (char& c : name) {
@@ -62,19 +63,19 @@ INSTANTIATE_TEST_SUITE_P(Extensions, ExtensionVectorTest,
                          });
 
 TEST(ExtensionVectorTest, NotPartOfThePaperSeven) {
-  for (const VectorId id : extension_vector_ids()) {
-    for (const VectorId paper : audio_vector_ids()) {
+  for (const VectorId id : VectorRegistry::instance().extension_ids()) {
+    for (const VectorId paper : VectorRegistry::instance().audio_ids()) {
       EXPECT_NE(id, paper);
     }
   }
-  EXPECT_EQ(extension_vector_ids().size(), 2u);
+  EXPECT_EQ(VectorRegistry::instance().extension_ids().size(), 2u);
 }
 
 TEST(ExtensionVectorTest, DistinctFromPaperVectorsOnSameProfile) {
   const platform::PlatformProfile p = reference_profile();
-  for (const VectorId ext : extension_vector_ids()) {
+  for (const VectorId ext : VectorRegistry::instance().extension_ids()) {
     const util::Digest d = audio_vector(ext).run(p, {});
-    for (const VectorId paper : audio_vector_ids()) {
+    for (const VectorId paper : VectorRegistry::instance().audio_ids()) {
       EXPECT_NE(d, audio_vector(paper).run(p, {}));
     }
   }

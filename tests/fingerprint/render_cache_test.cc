@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "fingerprint/vector.h"
+#include "fingerprint/vector_registry.h"
 #include "platform/catalog.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -69,7 +70,7 @@ TEST(RenderCacheTest, ConcurrentHammerStaysConsistent) {
   // striping sound.
   RenderCache cache;
   const auto profiles = sample_profiles(6);
-  const auto ids = audio_vector_ids();
+  const auto ids = VectorRegistry::instance().audio_ids();
   constexpr std::size_t kThreads = 8;
   constexpr std::size_t kLookupsPerThread = 400;
 

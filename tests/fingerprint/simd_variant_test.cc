@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "fingerprint/vector.h"
+#include "fingerprint/vector_registry.h"
 #include "platform/catalog.h"
 #include "util/rng.h"
 
@@ -37,7 +38,7 @@ constexpr VectorId kMathSensitiveVectors[] = {
 TEST(SimdVariantRenderTest, SelfDeterministicAcrossRepeatedRenders) {
   for (const dsp::MathVariant variant : kSimdVariants) {
     const platform::PlatformProfile p = profile_with_math(variant);
-    for (const VectorId id : audio_vector_ids()) {
+    for (const VectorId id : VectorRegistry::instance().audio_ids()) {
       const AudioFingerprintVector& vector = audio_vector(id);
       const util::Digest first = vector.run(p, {});
       EXPECT_EQ(first, vector.run(p, {}))

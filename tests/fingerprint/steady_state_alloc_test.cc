@@ -8,6 +8,7 @@
 
 #include "dsp/fft.h"
 #include "fingerprint/vector.h"
+#include "fingerprint/vector_registry.h"
 #include "platform/catalog.h"
 #include "util/rng.h"
 #include "webaudio/periodic_wave.h"
@@ -27,7 +28,7 @@ TEST(SteadyStateAllocTest, SecondRenderBuildsNoEngineParts) {
   // Warm pass: builds whatever shared parts this archetype needs (math
   // library, FFT engine + twiddles, wavetables) through the per-stack
   // memoization in PlatformProfile::make_engine_config.
-  for (const VectorId id : audio_vector_ids()) {
+  for (const VectorId id : VectorRegistry::instance().audio_ids()) {
     (void)audio_vector(id).run(p, {});
   }
 
@@ -35,7 +36,7 @@ TEST(SteadyStateAllocTest, SecondRenderBuildsNoEngineParts) {
   const std::uint64_t waves_before = webaudio::periodic_wave_builds();
 
   // Steady-state pass: every engine part must come from a cache.
-  for (const VectorId id : audio_vector_ids()) {
+  for (const VectorId id : VectorRegistry::instance().audio_ids()) {
     (void)audio_vector(id).run(p, {});
   }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fingerprint/vector_registry.h"
 #include "platform/catalog.h"
 #include "util/rng.h"
 
@@ -52,7 +53,7 @@ TEST_P(AudioVectorTest, VectorsProduceDistinctDigestsOnSameProfile) {
   // Each vector hashes its own name + outputs, so no two vectors collide.
   const platform::PlatformProfile p = windows_profile();
   const util::Digest mine = audio_vector(GetParam()).run(p, {});
-  for (const VectorId other : audio_vector_ids()) {
+  for (const VectorId other : VectorRegistry::instance().audio_ids()) {
     if (other == GetParam()) continue;
     EXPECT_NE(mine, audio_vector(other).run(p, {}))
         << "collides with " << to_string(other);
@@ -60,8 +61,8 @@ TEST_P(AudioVectorTest, VectorsProduceDistinctDigestsOnSameProfile) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllAudioVectors, AudioVectorTest,
-                         ::testing::ValuesIn(audio_vector_ids().begin(),
-                                             audio_vector_ids().end()),
+                         ::testing::ValuesIn(
+                             VectorRegistry::instance().audio_ids()),
                          [](const auto& info) {
                            std::string name(to_string(info.param));
                            for (char& c : name) {
@@ -180,8 +181,8 @@ TEST(AmVectorTest, SeesDeepCompressionTuning) {
 }
 
 TEST(VectorRegistryTest, NamesAndIds) {
-  EXPECT_EQ(audio_vector_ids().size(), 7u);
-  for (const VectorId id : audio_vector_ids()) {
+  EXPECT_EQ(VectorRegistry::instance().audio_ids().size(), 7u);
+  for (const VectorId id : VectorRegistry::instance().audio_ids()) {
     EXPECT_EQ(audio_vector(id).id(), id);
     EXPECT_FALSE(is_static_vector(id));
   }

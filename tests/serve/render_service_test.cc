@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "fingerprint/vector.h"
+#include "fingerprint/vector_registry.h"
 #include "platform/catalog.h"
 #include "util/rng.h"
 
@@ -20,7 +21,7 @@ using fingerprint::AudioFingerprintVector;
 using fingerprint::RenderCache;
 using fingerprint::VectorId;
 using fingerprint::audio_vector;
-using fingerprint::audio_vector_ids;
+using fingerprint::VectorRegistry;
 
 platform::PlatformProfile profile_with_math(dsp::MathVariant math) {
   const platform::DeviceCatalog catalog;
@@ -41,7 +42,7 @@ TEST(RenderServiceTest, ServedDigestsMatchDirectRendersAcrossWorkerCounts) {
     RenderServiceConfig config;
     config.workers = workers;
     RenderService service(cache, config);
-    for (const VectorId id : audio_vector_ids()) {
+    for (const VectorId id : VectorRegistry::instance().audio_ids()) {
       const AudioFingerprintVector& vec = audio_vector(id);
       for (const auto* p : {&a, &b}) {
         for (const std::uint32_t jitter : {0u, 3u}) {
@@ -147,9 +148,10 @@ TEST(RenderServiceTest, StopDrainsEveryAdmittedTask) {
   RenderService service(cache, config);
   const auto p = profile_with_math(dsp::MathVariant::kPrecise);
 
-  std::vector<RenderService::Ticket> tickets(audio_vector_ids().size());
+  std::vector<RenderService::Ticket> tickets(
+      VectorRegistry::instance().audio_ids().size());
   std::size_t i = 0;
-  for (const VectorId id : audio_vector_ids()) {
+  for (const VectorId id : VectorRegistry::instance().audio_ids()) {
     ASSERT_EQ(service.submit(audio_vector(id), p, 0, tickets[i++]),
               Admit::kAccepted);
   }
@@ -187,7 +189,7 @@ TEST(RenderServiceTest, ConcurrentRendersStayBitIdenticalUnderContention) {
 
   RenderCache direct_cache;
   std::vector<util::Digest> expected;
-  for (const VectorId id : audio_vector_ids()) {
+  for (const VectorId id : VectorRegistry::instance().audio_ids()) {
     expected.push_back(direct_cache.get(audio_vector(id), p, 1));
   }
 
@@ -199,7 +201,7 @@ TEST(RenderServiceTest, ConcurrentRendersStayBitIdenticalUnderContention) {
     callers.emplace_back([&, t] {
       for (int round = 0; round < 3; ++round) {
         std::size_t i = 0;
-        for (const VectorId id : audio_vector_ids()) {
+        for (const VectorId id : VectorRegistry::instance().audio_ids()) {
           if (service.render(audio_vector(id), p, 1) != expected[i++]) {
             ++mismatches[t];
           }
@@ -213,7 +215,7 @@ TEST(RenderServiceTest, ConcurrentRendersStayBitIdenticalUnderContention) {
   }
   // 8 callers x 3 rounds of the same classes: one render each, the rest
   // coalesced or cache hits.
-  EXPECT_EQ(cache.misses(), audio_vector_ids().size());
+  EXPECT_EQ(cache.misses(), VectorRegistry::instance().audio_ids().size());
 }
 
 TEST(RenderServiceTest, StartAndStopAreIdempotentAndRestartable) {

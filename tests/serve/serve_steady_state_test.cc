@@ -7,6 +7,7 @@
 
 #include "dsp/fft.h"
 #include "fingerprint/vector.h"
+#include "fingerprint/vector_registry.h"
 #include "platform/catalog.h"
 #include "serve/render_service.h"
 #include "util/rng.h"
@@ -17,7 +18,7 @@ namespace {
 
 using fingerprint::VectorId;
 using fingerprint::audio_vector;
-using fingerprint::audio_vector_ids;
+using fingerprint::VectorRegistry;
 
 platform::PlatformProfile sampled_profile(std::uint64_t seed) {
   const platform::DeviceCatalog catalog;
@@ -35,7 +36,7 @@ TEST(ServeSteadyStateTest, ReservingAWarmStreamBuildsNothing) {
   RenderService service(cache, config);
 
   const auto serve_stream = [&] {
-    for (const VectorId id : audio_vector_ids()) {
+    for (const VectorId id : VectorRegistry::instance().audio_ids()) {
       for (const auto* p : {&a, &b}) {
         for (const std::uint32_t jitter : {0u, 1u}) {
           (void)service.render(audio_vector(id), *p, jitter);

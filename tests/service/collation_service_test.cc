@@ -7,6 +7,7 @@
 #include <thread>
 
 #include "service/validator.h"
+#include "service/wal.h"
 
 namespace wafp::service {
 namespace {
@@ -97,11 +98,11 @@ TEST(CollationServiceTest, PumpAppliesToGraph) {
   ASSERT_TRUE(svc.submit(raw_of(1, 10, 1)).accepted());
   ASSERT_TRUE(svc.submit(raw_of(2, 10, 1)).accepted());
   ASSERT_TRUE(svc.submit(raw_of(3, 30, 1)).accepted());
-  EXPECT_EQ(svc.graph().user_count(), 0u);  // nothing applied yet
+  EXPECT_EQ(svc.user_count(), 0u);  // nothing applied yet
   EXPECT_EQ(svc.pump(), 3u);
-  EXPECT_EQ(svc.graph().user_count(), 3u);
-  EXPECT_TRUE(svc.graph().same_cluster(1, 2));
-  EXPECT_FALSE(svc.graph().same_cluster(1, 3));
+  EXPECT_EQ(svc.user_count(), 3u);
+  EXPECT_EQ(svc.user_component(1), svc.user_component(2));
+  EXPECT_NE(svc.user_component(1), svc.user_component(3));
 }
 
 TEST(CollationServiceTest, DuplicatesAndReorderingDoNotChangeComponents) {
@@ -139,7 +140,7 @@ TEST(CollationServiceTest, DroppedSubmissionsChangeTheGraph) {
   EXPECT_EQ(stats.accepted, 10u);
   EXPECT_EQ(stats.dropped_by_fault, 5u);
   EXPECT_EQ(stats.applied, 5u);
-  EXPECT_EQ(lossy.graph().user_count(), 5u);
+  EXPECT_EQ(lossy.user_count(), 5u);
 }
 
 TEST(CollationServiceTest, TransientAppendFailureRetriesWithBackoff) {
@@ -162,7 +163,8 @@ TEST(CollationServiceTest, TransientAppendFailureRetriesWithBackoff) {
   EXPECT_EQ(sleeps[0], std::chrono::milliseconds(3));  // base backoff
   // The WAL holds both records (read before shutdown checkpoints/truncates).
   const auto replay = Wal::replay(
-      (std::filesystem::path(dir) / "submissions.wal").string());
+      (std::filesystem::path(shard_dir(dir, 0)) / "submissions.wal")
+          .string());
   EXPECT_TRUE(replay.header_ok);
   EXPECT_EQ(replay.records.size(), 2u);
   svc.crash();  // skip the destructor checkpoint before deleting the dir
@@ -190,10 +192,10 @@ TEST(CollationServiceTest, HardAppendFailureSurfacesTypedError) {
   EXPECT_EQ(sleeps[1], std::chrono::milliseconds(2));
   // The submission was not applied (durability before visibility)...
   EXPECT_EQ(svc.stats().applied, 0u);
-  EXPECT_EQ(svc.graph().user_count(), 0u);
+  EXPECT_EQ(svc.user_count(), 0u);
   // ...but stays queued: once the disk heals, pumping applies it.
   EXPECT_EQ(svc.pump(), 1u);
-  EXPECT_EQ(svc.graph().user_count(), 1u);
+  EXPECT_EQ(svc.user_count(), 1u);
   svc.crash();  // skip the destructor checkpoint; state dir is removed next
   std::filesystem::remove_all(dir);
 }
@@ -213,7 +215,7 @@ TEST(CollationServiceTest, BackgroundWorkerDrainsQueue) {
   svc.stop();
   svc.pump();  // whatever the worker had not reached yet
   EXPECT_EQ(svc.stats().applied, 100u);
-  EXPECT_EQ(svc.graph().user_count(), 50u);
+  EXPECT_EQ(svc.user_count(), 50u);
 }
 
 TEST(CollationServiceTest, WorkerSurvivesHardAppendFailure) {
@@ -243,7 +245,7 @@ TEST(CollationServiceTest, WorkerSurvivesHardAppendFailure) {
   }
   svc.stop();
   EXPECT_EQ(svc.stats().applied, 1u);
-  EXPECT_EQ(svc.graph().user_count(), 1u);
+  EXPECT_EQ(svc.user_count(), 1u);
   svc.crash();  // skip the destructor checkpoint; state dir is removed next
   std::filesystem::remove_all(dir);
 }
@@ -310,7 +312,7 @@ TEST(CollationServiceTest, SequentialPumpsNeverTripTheGuard) {
   EXPECT_EQ(svc.pump(), 1u);
   EXPECT_EQ(svc.pump(), 0u);  // empty queue, still no trip
   svc.drain_and_checkpoint();
-  EXPECT_EQ(svc.graph().user_count(), 1u);
+  EXPECT_EQ(svc.user_count(), 1u);
 }
 
 TEST(CollationServiceTest, ShutdownAfterCrashRejectsSubmissions) {
@@ -318,7 +320,7 @@ TEST(CollationServiceTest, ShutdownAfterCrashRejectsSubmissions) {
   ASSERT_TRUE(svc.submit(raw_of(1, 1, 1)).accepted());
   svc.crash();
   EXPECT_EQ(svc.submit(raw_of(1, 2, 2)).reason, Reject::kShutdown);
-  EXPECT_EQ(svc.graph().user_count(), 0u);
+  EXPECT_EQ(svc.user_count(), 0u);
 }
 
 }  // namespace

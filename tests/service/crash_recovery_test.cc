@@ -54,6 +54,12 @@ std::uint64_t uninterrupted_checksum(const std::vector<RawSubmission>& trace) {
   return svc.component_checksum();
 }
 
+/// The WAL of a one-shard engine rooted at `dir`.
+std::string wal_path(const std::string& dir) {
+  return (std::filesystem::path(shard_dir(dir, 0)) / "submissions.wal")
+      .string();
+}
+
 ServiceConfig durable_config(const std::string& dir, FaultPlan faults = {}) {
   ServiceConfig config;
   config.state_dir = dir;
@@ -139,8 +145,7 @@ TEST(CrashRecoveryTest, RecoverySurvivesTornWalTail) {
   }
   {
     // Torn tail: a crash mid-append leaves a partial record on disk.
-    std::ofstream wal(std::filesystem::path(dir) / "submissions.wal",
-                      std::ios::binary | std::ios::app);
+    std::ofstream wal(wal_path(dir), std::ios::binary | std::ios::app);
     wal << "12,6,999,deadbeef";
   }
   CollationService svc(durable_config(dir));
@@ -174,8 +179,7 @@ TEST(CrashRecoveryTest, AppendsAfterTornTailSurviveTheNextRecovery) {
   }
   {
     // Crash mid-append: a partial record with no trailing newline.
-    std::ofstream wal(std::filesystem::path(dir) / "submissions.wal",
-                      std::ios::binary | std::ios::app);
+    std::ofstream wal(wal_path(dir), std::ios::binary | std::ios::app);
     wal << "12,6,999,deadbeef";
   }
   {
@@ -202,8 +206,9 @@ TEST(CrashRecoveryTest, HeaderlessWalIsRepairedNotPoisonous) {
   // wholesale.
   const std::string dir = "cr_state_headerless";
   std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  { std::ofstream wal(std::filesystem::path(dir) / "submissions.wal"); }
+  std::filesystem::create_directories(shard_dir(dir, 0));
+  write_shard_meta(dir, 1);
+  { std::ofstream wal(wal_path(dir)); }
   const auto trace = make_trace();
   {
     CollationService svc(wal_only_config(dir));

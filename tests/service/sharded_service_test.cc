@@ -1,9 +1,9 @@
-// ShardedCollationService unit + fault-matrix tests: the shard layout pin,
-// per-shard torn-WAL-tail repair, cross-shard migration accounting, the
-// merged-view epoch cache, and the CollationEngine seam both engines sit
-// behind. Whole-suite parity against the brute-force oracle lives in
-// tests/conformance/sharded_oracle_test.cc; this file exercises the parts
-// of the sharded engine a checksum cannot see.
+// Multi-shard CollationService unit + fault-matrix tests: the shard layout
+// pin, per-shard torn-WAL-tail repair, cross-shard migration accounting,
+// the merged-view epoch cache, engine-wide metrics, and the shard-count
+// argument of make_engine. Whole-suite parity against the brute-force
+// oracle lives in tests/conformance/sharded_oracle_test.cc; this file
+// exercises the parts of the sharded engine a checksum cannot see.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -12,18 +12,16 @@
 #include <string>
 #include <vector>
 
-#include "service/sharded_collation_service.h"
-#include "service/snapshot.h"
+#include "obs/metrics.h"
+#include "service/collation_service.h"
 #include "testing/oracles.h"
 
 namespace wafp::testing {
 namespace {
 
-using service::CollationEngine;
+using service::CollationService;
 using service::RawSubmission;
 using service::ServiceConfig;
-using service::ShardedCollationService;
-using service::ShardedServiceConfig;
 
 std::string temp_dir(const std::string& name) {
   const std::string dir = ::testing::TempDir() + "sharded_svc_" + name;
@@ -31,12 +29,30 @@ std::string temp_dir(const std::string& name) {
   return dir;
 }
 
-void run_trace(CollationEngine& svc,
+void run_trace(CollationService& svc,
                const std::vector<RawSubmission>& trace) {
   for (const RawSubmission& raw : trace) {
     ASSERT_TRUE(svc.submit(raw).accepted());
   }
   svc.pump();
+}
+
+/// One user whose 16 digests split across both shards of a 2-shard engine.
+std::vector<RawSubmission> cross_shard_user_trace() {
+  std::vector<RawSubmission> trace;
+  std::uint64_t mask = 0;
+  for (std::uint64_t i = 0; i < 16; ++i) {
+    RawSubmission raw;
+    raw.user = 7;
+    raw.vector = 0;
+    raw.timestamp = i;
+    raw.efp_hex = test_digest(i).hex();
+    mask |= std::uint64_t{1}
+            << service::shard_for_digest(digest_from_hex(raw.efp_hex), 2);
+    trace.push_back(std::move(raw));
+  }
+  EXPECT_EQ(mask, 0b11u) << "test digests all routed to one shard";
+  return trace;
 }
 
 TEST(ShardedServiceTest, ShardCountMismatchIsAHardDiagnosableError) {
@@ -64,19 +80,20 @@ TEST(ShardedServiceTest, ShardCountMismatchIsAHardDiagnosableError) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(ShardedServiceTest, SingleEngineLayoutIsRejectedBySharded) {
+TEST(ShardedServiceTest, OldSingleLoopLayoutIsRefusedAtEveryShardCount) {
+  // The older single-loop engine kept its WAL in the state dir's root with
+  // no shards.meta; that state is refused, not migrated.
   const std::string dir = temp_dir("single_layout");
-  {
+  std::filesystem::create_directories(dir);
+  { std::ofstream(std::filesystem::path(dir) / "submissions.wal") << "x\n"; }
+  for (const std::size_t shards : {1, 4}) {
     ServiceConfig config;
     config.state_dir = dir;
-    const auto svc = service::make_engine(config, /*shards=*/0);
-    run_trace(*svc, make_submission_trace(2, 40));
-    svc->drain_and_checkpoint();
+    EXPECT_THROW((void)service::make_engine(config, shards),
+                 service::ShardLayoutError)
+        << shards << " shard(s)";
   }
-  ServiceConfig config;
-  config.state_dir = dir;
-  EXPECT_THROW((void)service::make_engine(config, 4),
-               service::ShardLayoutError);
+  EXPECT_FALSE(std::filesystem::exists(service::shard_meta_path(dir)));
   std::filesystem::remove_all(dir);
 }
 
@@ -118,61 +135,31 @@ TEST(ShardedServiceTest, PerShardTornWalTailsAreRepairedOnRecovery) {
 
 TEST(ShardedServiceTest, CorruptShardSnapshotFailsRecoveryLoudly) {
   const std::string dir = temp_dir("corrupt");
-  const auto make_config = [&] {
-    ServiceConfig config;
-    config.state_dir = dir;
-    config.snapshot_every = 8;
-    config.faults.corrupt_snapshot = true;  // rot every written snapshot
-    return config;
-  };
+  ServiceConfig config;
+  config.state_dir = dir;
+  config.snapshot_every = 8;
+  config.faults.corrupt_snapshot = true;  // rot every written snapshot
   {
-    const auto svc = service::make_engine(make_config(), 2);
+    const auto svc = service::make_engine(config, 2);
     run_trace(*svc, make_submission_trace(4, 60));
     svc->drain_and_checkpoint();
     svc->crash();  // skip the destructor's checkpoint
   }
-  // Parallel and serial recovery must both surface the corruption.
-  for (const bool parallel : {true, false}) {
-    ShardedServiceConfig config;
-    config.base = make_config();
-    config.base.faults.corrupt_snapshot = false;
-    config.shards = 2;
-    config.parallel_recovery = parallel;
-    EXPECT_THROW({ ShardedCollationService probe(config); },
-                 service::SnapshotCorruptError)
-        << (parallel ? "parallel" : "serial") << " recovery";
-  }
+  // The shards recover in parallel; the corruption must still surface.
+  config.faults.corrupt_snapshot = false;
+  EXPECT_THROW((void)service::make_engine(config, 2),
+               service::SnapshotCorruptError);
   std::filesystem::remove_all(dir);
 }
 
 TEST(ShardedServiceTest, CrossShardUsersAreCountedAsMigrations) {
-  constexpr std::size_t kShards = 2;
-  // One user, many distinct digests: with 2 shards the prefix64 routing
-  // splits them across both shards with near certainty.
-  std::vector<RawSubmission> trace;
-  bool spans_both = false;
-  std::uint64_t mask = 0;
-  for (std::uint64_t i = 0; i < 16; ++i) {
-    RawSubmission raw;
-    raw.user = 7;
-    raw.vector = 0;
-    raw.timestamp = i;
-    raw.efp_hex = test_digest(i).hex();
-    mask |= std::uint64_t{1} << service::shard_for_digest(
-                digest_from_hex(raw.efp_hex), kShards);
-    trace.push_back(std::move(raw));
-  }
-  spans_both = mask == 0b11;
-  ASSERT_TRUE(spans_both) << "test digests all routed to one shard";
-
-  ShardedServiceConfig config;
-  config.shards = kShards;
-  ShardedCollationService svc(config);
+  const auto trace = cross_shard_user_trace();
+  CollationService svc(ServiceConfig{}, 2);
   run_trace(svc, trace);
   const auto stats = svc.sharded_stats();
-  EXPECT_EQ(stats.shards, kShards);
+  EXPECT_EQ(stats.shards, 2u);
   EXPECT_EQ(stats.cross_shard_users, 1u);
-  EXPECT_GE(stats.migration_records, 1u);
+  EXPECT_EQ(stats.migration_records, 1u);
   // The user's fingerprints all share one merged component regardless of
   // which shard holds each edge.
   EXPECT_EQ(svc.cluster_count(), 1u);
@@ -180,15 +167,44 @@ TEST(ShardedServiceTest, CrossShardUsersAreCountedAsMigrations) {
   EXPECT_EQ(svc.fingerprint_count(), trace.size());
 }
 
-TEST(ShardedServiceTest, MergedViewRebuildsOnlyWhenShardsApply) {
-  ShardedServiceConfig config;
-  config.shards = 4;
-  ShardedCollationService svc(config);
-  const auto trace = make_submission_trace(5, 80);
-  for (const RawSubmission& raw : trace) {
-    ASSERT_TRUE(svc.submit(raw).accepted());
+TEST(ShardedServiceTest, RecoveryRearmsResidencyWithoutCountingMigrations) {
+  const std::string dir = temp_dir("residency");
+  ServiceConfig config;
+  config.state_dir = dir;
+  {
+    CollationService svc(config, 2);
+    run_trace(svc, cross_shard_user_trace());
+  }  // the destructor checkpoints
+  obs::MetricsRegistry registry;
+  config.metrics = &registry;
+  CollationService recovered(config, 2);
+  const auto stats = recovered.sharded_stats();
+  EXPECT_EQ(stats.cross_shard_users, 1u);
+  EXPECT_EQ(stats.migration_records, 0u);
+  EXPECT_EQ(registry.counter("wafp_shard_migrations_total").value(),
+            stats.migration_records);
+  EXPECT_EQ(registry.gauge("wafp_shard_cross_shard_users").value(), 1);
+  recovered.crash();
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ShardedServiceTest, QueueDepthGaugeCountsEveryShard) {
+  obs::MetricsRegistry registry;
+  ServiceConfig config;
+  config.metrics = &registry;
+  const auto svc = service::make_engine(config, 4);
+  for (const RawSubmission& raw : make_submission_trace(9, 100)) {
+    ASSERT_TRUE(svc->submit(raw).accepted());
   }
-  svc.pump();
+  obs::Gauge& depth = registry.gauge("wafp_service_queue_depth");
+  EXPECT_EQ(depth.value(), 100);
+  EXPECT_EQ(svc->pump(), 100u);
+  EXPECT_EQ(depth.value(), 0);
+}
+
+TEST(ShardedServiceTest, MergedViewRebuildsOnlyWhenShardsApply) {
+  CollationService svc(ServiceConfig{}, 4);
+  run_trace(svc, make_submission_trace(5, 80));
   (void)svc.component_checksum();
   (void)svc.cluster_count();
   (void)svc.user_count();
@@ -205,24 +221,26 @@ TEST(ShardedServiceTest, MergedViewRebuildsOnlyWhenShardsApply) {
   EXPECT_EQ(svc.sharded_stats().merged_view_builds, 2u);
 }
 
-TEST(ShardedServiceTest, UncachedMergedViewStaysCorrect) {
-  ShardedServiceConfig config;
-  config.shards = 2;
-  config.cache_merged_view = false;
-  ShardedCollationService svc(config);
-  const auto trace = make_submission_trace(6, 80);
-  run_trace(svc, trace);
-  const std::uint64_t oracle = brute_force_submission_checksum(trace);
-  EXPECT_EQ(svc.component_checksum(), oracle);
-  EXPECT_EQ(svc.component_checksum(), oracle);
-  // Every query rebuilt the transient view.
-  EXPECT_EQ(svc.sharded_stats().merged_view_builds, 2u);
+TEST(ShardedServiceTest, OneShardReadsNeverBuildAMergedView) {
+  // At N = 1 every read goes straight to shard 0's graph: interleaved
+  // writes and reads must never fold a merged view.
+  const auto svc = service::make_engine(ServiceConfig{}, 1);
+  const auto trace = make_submission_trace(10, 120);
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    ASSERT_TRUE(svc->submit(trace[i]).accepted());
+    if (i % 10 != 9) continue;
+    svc->pump();
+    const util::Digest probe = digest_from_hex(trace[i].efp_hex);
+    EXPECT_EQ(svc->match({&probe, 1}), svc->user_component(trace[i].user));
+    (void)svc->component_checksum();
+  }
+  EXPECT_EQ(svc->component_checksum(),
+            brute_force_submission_checksum(trace));
+  EXPECT_EQ(svc->sharded_stats().merged_view_builds, 0u);
 }
 
 TEST(ShardedServiceTest, PumpHonorsTheRecordBudget) {
-  ShardedServiceConfig config;
-  config.shards = 4;
-  ShardedCollationService svc(config);
+  CollationService svc(ServiceConfig{}, 4);
   const auto trace = make_submission_trace(7, 60);
   for (const RawSubmission& raw : trace) {
     ASSERT_TRUE(svc.submit(raw).accepted());
@@ -233,10 +251,9 @@ TEST(ShardedServiceTest, PumpHonorsTheRecordBudget) {
 }
 
 TEST(ShardedServiceTest, PerShardQueueBackpressureSurfacesAsQueueFull) {
-  ShardedServiceConfig config;
-  config.shards = 2;
-  config.base.queue_capacity = 4;
-  ShardedCollationService svc(config);
+  ServiceConfig config;
+  config.queue_capacity = 4;
+  CollationService svc(config, 2);
   // Identical digest = one shard; the 5th+ submission must bounce.
   std::size_t accepted = 0;
   std::size_t rejected = 0;
@@ -262,9 +279,7 @@ TEST(ShardedServiceTest, PerShardQueueBackpressureSurfacesAsQueueFull) {
 }
 
 TEST(ShardedServiceTest, BackgroundWorkersDrainAllShards) {
-  ShardedServiceConfig config;
-  config.shards = 4;
-  ShardedCollationService svc(config);
+  CollationService svc(ServiceConfig{}, 4);
   const auto trace = make_submission_trace(8, 200);
   svc.start();
   for (const RawSubmission& raw : trace) {
@@ -281,20 +296,15 @@ TEST(ShardedServiceTest, BackgroundWorkersDrainAllShards) {
 
 TEST(ShardedServiceTest, EngineFactorySelectsTheRequestedEngine) {
   const ServiceConfig config;
-  const auto single = service::make_engine(config, 0);
-  const auto sharded = service::make_engine(config, 3);
-  EXPECT_NE(dynamic_cast<service::CollationService*>(single.get()), nullptr);
-  const auto* as_sharded =
-      dynamic_cast<ShardedCollationService*>(sharded.get());
-  ASSERT_NE(as_sharded, nullptr);
-  EXPECT_EQ(as_sharded->shard_count(), 3u);
+  EXPECT_EQ(service::make_engine(config, 0)->shard_count(), 1u);
+  EXPECT_EQ(service::make_engine(config, 1)->shard_count(), 1u);
+  EXPECT_EQ(service::make_engine(config, 3)->shard_count(), 3u);
 }
 
 TEST(ShardedServiceTest, SubmitResultToStringCoversEveryOutcome) {
-  ShardedServiceConfig config;
-  config.shards = 2;
-  config.base.queue_capacity = 1;
-  ShardedCollationService svc(config);
+  ServiceConfig config;
+  config.queue_capacity = 1;
+  CollationService svc(config, 2);
   RawSubmission good;
   good.user = 1;
   good.vector = 0;

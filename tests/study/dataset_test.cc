@@ -7,11 +7,15 @@
 #include <string>
 #include <vector>
 
+#include "fingerprint/vector_registry.h"
 #include "obs/span.h"
 #include "util/csv.h"
 
 namespace wafp::study {
 namespace {
+
+using fingerprint::VectorId;
+using fingerprint::VectorRegistry;
 
 StudyConfig small_config() {
   StudyConfig cfg;
@@ -32,7 +36,7 @@ TEST(DatasetTest, ShapesMatchConfig) {
   EXPECT_EQ(ds.num_users(), 40u);
   EXPECT_EQ(ds.iterations(), 6u);
   EXPECT_EQ(ds.users().size(), 40u);
-  for (const fingerprint::VectorId id : fingerprint::audio_vector_ids()) {
+  for (const VectorId id : VectorRegistry::instance().audio_ids()) {
     EXPECT_EQ(ds.audio_observations(0, id).size(), 6u);
   }
 }
@@ -40,7 +44,7 @@ TEST(DatasetTest, ShapesMatchConfig) {
 TEST(DatasetTest, ObservationAccessorsConsistent) {
   const Dataset& ds = small_dataset();
   for (std::size_t u = 0; u < 5; ++u) {
-    for (const fingerprint::VectorId id : fingerprint::audio_vector_ids()) {
+    for (const VectorId id : VectorRegistry::instance().audio_ids()) {
       const auto all = ds.audio_observations(u, id);
       for (std::uint32_t it = 0; it < 6; ++it) {
         EXPECT_EQ(all[it], ds.audio_observation(u, id, it));
@@ -53,7 +57,7 @@ TEST(DatasetTest, CollectionIsDeterministic) {
   const Dataset again = Dataset::collect(small_config());
   const Dataset& ds = small_dataset();
   for (std::size_t u = 0; u < ds.num_users(); ++u) {
-    for (const fingerprint::VectorId id : fingerprint::audio_vector_ids()) {
+    for (const VectorId id : VectorRegistry::instance().audio_ids()) {
       for (std::uint32_t it = 0; it < ds.iterations(); ++it) {
         ASSERT_EQ(ds.audio_observation(u, id, it),
                   again.audio_observation(u, id, it));
@@ -79,7 +83,7 @@ TEST(DatasetTest, CsvRoundTrip) {
 
   const Dataset loaded = Dataset::load_or_collect(small_config(), path);
   for (std::size_t u = 0; u < ds.num_users(); ++u) {
-    for (const fingerprint::VectorId id : fingerprint::audio_vector_ids()) {
+    for (const VectorId id : VectorRegistry::instance().audio_ids()) {
       for (std::uint32_t it = 0; it < ds.iterations(); ++it) {
         ASSERT_EQ(loaded.audio_observation(u, id, it),
                   ds.audio_observation(u, id, it));

@@ -4,10 +4,13 @@
 
 #include <numeric>
 
+#include "fingerprint/vector_registry.h"
+
 namespace wafp::study {
 namespace {
 
 using fingerprint::VectorId;
+using fingerprint::VectorRegistry;
 
 /// A mid-sized study shared by all experiment tests (collected once).
 const Dataset& study() {
@@ -76,7 +79,7 @@ TEST(CollationTest, CollatedClusteringHasFewerClustersThanRawDigests) {
 }
 
 TEST(ClusterAgreementTest, HighForAllVectors) {
-  for (const VectorId id : fingerprint::audio_vector_ids()) {
+  for (const VectorId id : VectorRegistry::instance().audio_ids()) {
     const AgreementPoint point = cluster_agreement(study(), id, 4);
     EXPECT_GT(point.mean_ami, 0.9) << to_string(id);
     EXPECT_LE(point.mean_ami, 1.0 + 1e-9);
@@ -100,7 +103,7 @@ TEST(ClusterAgreementTest, LargerSubsetsAgreeAtLeastAsWell) {
 
 TEST(MatchScoreTest, HighForAllVectorsAndSizes) {
   // Paper Table 6: minimum 0.9899 (s=3).
-  for (const VectorId id : fingerprint::audio_vector_ids()) {
+  for (const VectorId id : VectorRegistry::instance().audio_ids()) {
     for (const std::size_t s : {3u, 6u}) {
       const double score = fingerprint_match_score(study(), id, s);
       EXPECT_GT(score, 0.95) << to_string(id) << " s=" << s;
@@ -138,7 +141,7 @@ TEST(DiversityTest, OtherVectorsFarMoreDiverseThanAudio) {
 }
 
 TEST(DiversityTest, NormalizedEntropyInRange) {
-  for (const VectorId id : fingerprint::audio_vector_ids()) {
+  for (const VectorId id : VectorRegistry::instance().audio_ids()) {
     const auto stats = vector_diversity(study(), id);
     EXPECT_GE(stats.normalized, 0.0);
     EXPECT_LE(stats.normalized, 1.0);

@@ -7,12 +7,16 @@
 
 #include <cstring>
 
+#include "fingerprint/vector_registry.h"
 #include "study/dataset.h"
 #include "study/experiments.h"
 #include "util/thread_pool.h"
 
 namespace wafp::study {
 namespace {
+
+using fingerprint::VectorId;
+using fingerprint::VectorRegistry;
 
 StudyConfig config_with_threads(std::size_t threads) {
   StudyConfig cfg;
@@ -26,7 +30,7 @@ StudyConfig config_with_threads(std::size_t threads) {
 void expect_identical(const Dataset& a, const Dataset& b) {
   ASSERT_EQ(a.num_users(), b.num_users());
   for (std::size_t u = 0; u < a.num_users(); ++u) {
-    for (const fingerprint::VectorId id : fingerprint::audio_vector_ids()) {
+    for (const VectorId id : VectorRegistry::instance().audio_ids()) {
       const auto oa = a.audio_observations(u, id);
       const auto ob = b.audio_observations(u, id);
       ASSERT_EQ(oa.size(), ob.size());
@@ -95,7 +99,7 @@ TEST(ParallelCollectTest, AnalysisMatchesSerialAnalysis) {
 TEST(ParallelCollectTest, AudioVectorIdsOrderIsStable) {
   // Dataset::audio_vector_index assumes registry order == enum order; this
   // is the micro-assert guarding that table.
-  const auto ids = fingerprint::audio_vector_ids();
+  const auto ids = VectorRegistry::instance().audio_ids();
   ASSERT_EQ(ids.size(), 7u);
   for (std::size_t i = 0; i < ids.size(); ++i) {
     EXPECT_EQ(static_cast<std::size_t>(ids[i]), i);

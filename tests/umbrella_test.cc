@@ -12,7 +12,7 @@ TEST(UmbrellaHeaderTest, EndToEndWorkflowCompiles) {
   platform::DeviceCatalog catalog;
   platform::Population users(catalog, 8, 123);
   fingerprint::RenderCache cache;
-  fingerprint::FingerprintCollector collector(cache);
+  fingerprint::FingerprintCollector collector({&cache});
 
   collation::FingerprintGraph graph;
   for (const platform::StudyUser& user : users.users()) {
