@@ -1,10 +1,10 @@
 // BENCH_*.json schema checker for the bench-smoke CI job.
 //
-// The bench binaries hand-write their JSON with fprintf, so nothing
-// guarantees the files stay parseable or keep the keys downstream tooling
-// reads. This tool parses a bench JSON strictly (objects, arrays, strings,
-// numbers, booleans, null — no trailing commas) and asserts the schema the
-// pipeline depends on:
+// The benches write their JSON through one emitter (bench/bench_json.h).
+// This tool shares no code with it, so an emitter bug cannot hide from the
+// gate: it parses a bench JSON strictly (objects, arrays, strings, numbers,
+// booleans, null — no trailing commas, no NaN or Infinity) and asserts the
+// keys the pipeline and CI depend on:
 //
 //   ./build/bench/check_bench_json FILE
 //       [--require KEY]...            top-level key must exist

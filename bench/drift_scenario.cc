@@ -19,7 +19,7 @@
 #include <cstdio>
 #include <string>
 
-#include "obs/metrics.h"
+#include "bench_json.h"
 #include "scenario/scenario.h"
 #include "util/flags.h"
 
@@ -113,61 +113,34 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(final_epoch.churn.split_pairs));
   std::printf("  soundness: %s\n", sound ? "ok" : "FAILED");
 
-  std::FILE* out = std::fopen(out_path.c_str(), "w");
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::fprintf(out,
-               "{\n"
-               "  \"bench\": \"drift_scenario\",\n"
-               "  \"smoke\": %s,\n"
-               "  \"users\": %zu,\n"
-               "  \"epochs\": %u,\n"
-               "  \"vectors\": %zu,\n"
-               "  \"shards\": %zu,\n"
-               "  \"stack_swap_rate\": %.4f,\n"
-               "  \"simd_tier_rate\": %.4f,\n"
-               "  \"jitter_regime_rate\": %.4f,\n"
-               "  \"submissions\": %llu,\n"
-               "  \"seconds\": %.3f,\n"
-               "  \"submissions_per_sec\": %.1f,\n"
-               "  \"drift_events\": %llu,\n"
-               "  \"probes\": %llu,\n"
-               "  \"imposter_trials\": %llu,\n"
-               "  \"false_matches\": %llu,\n"
-               "  \"false_non_matches\": %llu,\n"
-               "  \"fmr\": %.6e,\n"
-               "  \"fnmr\": %.6f,\n"
-               "  \"final_cluster_count\": %zu,\n"
-               "  \"final_anonymity_min_k\": %zu,\n"
-               "  \"final_anonymity_median_k\": %zu,\n"
-               "  \"final_anonymity_max_k\": %zu,\n"
-               "  \"final_merge_pairs\": %llu,\n"
-               "  \"final_split_pairs\": %llu,\n"
-               "  \"component_checksum\": \"%016llx\",\n"
-               "  \"sound\": %s,\n"
-               "  \"metrics\": %s\n"
-               "}\n",
-               smoke ? "true" : "false", config.num_users, config.epochs,
-               vectors, config.shards, config.drift.stack_swap_rate,
-               config.drift.simd_tier_rate, config.drift.jitter_regime_rate,
-               static_cast<unsigned long long>(submissions), seconds,
-               static_cast<double>(submissions) / seconds,
-               static_cast<unsigned long long>(result.drift_events),
-               static_cast<unsigned long long>(totals.probes),
-               static_cast<unsigned long long>(totals.imposter_trials),
-               static_cast<unsigned long long>(totals.false_matches),
-               static_cast<unsigned long long>(totals.false_non_matches),
-               totals.fmr(), totals.fnmr(), final_epoch.cluster_count,
-               final_epoch.anonymity.min_k, final_epoch.anonymity.median_k,
-               final_epoch.anonymity.max_k,
-               static_cast<unsigned long long>(final_epoch.churn.merge_pairs),
-               static_cast<unsigned long long>(final_epoch.churn.split_pairs),
-               static_cast<unsigned long long>(result.component_checksum),
-               sound ? "true" : "false",
-               obs::MetricsRegistry::global().render_json().c_str());
-  std::fclose(out);
-  std::printf("wrote %s\n", out_path.c_str());
+  bench::BenchJson json("drift_scenario");
+  json.boolean("smoke", smoke);
+  json.integer("users", config.num_users);
+  json.integer("epochs", config.epochs);
+  json.integer("vectors", vectors);
+  json.integer("shards", config.shards);
+  json.fixed("stack_swap_rate", config.drift.stack_swap_rate, 4);
+  json.fixed("simd_tier_rate", config.drift.simd_tier_rate, 4);
+  json.fixed("jitter_regime_rate", config.drift.jitter_regime_rate, 4);
+  json.integer("submissions", submissions);
+  json.fixed("seconds", seconds, 3);
+  json.fixed("submissions_per_sec",
+             static_cast<double>(submissions) / seconds, 1);
+  json.integer("drift_events", result.drift_events);
+  json.integer("probes", totals.probes);
+  json.integer("imposter_trials", totals.imposter_trials);
+  json.integer("false_matches", totals.false_matches);
+  json.integer("false_non_matches", totals.false_non_matches);
+  json.scientific("fmr", totals.fmr(), 6);
+  json.fixed("fnmr", totals.fnmr(), 6);
+  json.integer("final_cluster_count", final_epoch.cluster_count);
+  json.integer("final_anonymity_min_k", final_epoch.anonymity.min_k);
+  json.integer("final_anonymity_median_k", final_epoch.anonymity.median_k);
+  json.integer("final_anonymity_max_k", final_epoch.anonymity.max_k);
+  json.integer("final_merge_pairs", final_epoch.churn.merge_pairs);
+  json.integer("final_split_pairs", final_epoch.churn.split_pairs);
+  json.hex("component_checksum", result.component_checksum);
+  json.boolean("sound", sound);
+  json.write(out_path);
   return sound ? 0 : 1;
 }

@@ -12,15 +12,15 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench_json.h"
 #include "fingerprint/vector_registry.h"
-#include "obs/metrics.h"
 #include "study/dataset.h"
 #include "study/experiments.h"
+#include "util/flags.h"
 #include "util/hash.h"
 #include "util/thread_pool.h"
 
@@ -124,23 +124,14 @@ int main(int argc, char** argv) {
   std::vector<std::size_t> thread_sweep = {1, 2, 4, 8};
   bool smoke = false;
 
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--users") == 0 && i + 1 < argc) {
-      cfg.num_users = std::strtoul(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--iters") == 0 && i + 1 < argc) {
-      cfg.iterations =
-          static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10));
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--smoke] [--out FILE] [--users N] [--iters K]\n",
-                   argv[0]);
-      return 2;
-    }
-  }
+  util::FlagParser flags(
+      "parallel_pipeline",
+      "Serial-vs-parallel study pipeline benchmark (BENCH_parallel.json).");
+  flags.flag("--smoke", &smoke, "tiny CI-sized run");
+  flags.flag("--out", &out_path, "output JSON path");
+  flags.flag("--users", &cfg.num_users, "simulated users", /*min=*/1);
+  flags.flag("--iters", &cfg.iterations, "iterations per user", /*min=*/1);
+  if (!flags.parse(argc, argv)) return flags.exit_code();
   if (smoke) {
     cfg.num_users = 120;
     cfg.iterations = 6;
@@ -199,47 +190,32 @@ int main(int argc, char** argv) {
               speedup_valid ? "" : " [invalid: oversubscribed host]",
               effective_parallelism);
 
-  FILE* out = std::fopen(out_path.c_str(), "w");
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
+  bench::BenchJson json("parallel_pipeline");
+  json.integer("users", cfg.num_users);
+  json.integer("iterations", cfg.iterations);
+  json.integer("hardware_threads", util::default_thread_count());
+  json.integer("hardware_concurrency", hardware);
+  json.boolean("smoke", smoke);
+  json.boolean("parity_ok", parity_ok);
+  std::vector<bench::JsonObject> rows;
+  for (const auto& [threads, t] : runs) {
+    bench::JsonObject& row = rows.emplace_back();
+    row.integer("threads", threads);
+    row.boolean("oversubscribed", hardware != 0 && threads > hardware);
+    row.fixed("collect_s", t.collect, 6);
+    row.fixed("table1_s", t.table1, 6);
+    row.fixed("table2_s", t.table2, 6);
+    row.fixed("fig5_s", t.fig5, 6);
+    row.fixed("table6_s", t.table6, 6);
+    row.fixed("total_s", t.total(), 6);
+    row.hex("dataset_checksum", t.checksum);
   }
-  std::fprintf(out, "{\n");
-  std::fprintf(out, "  \"benchmark\": \"parallel_pipeline\",\n");
-  std::fprintf(out, "  \"users\": %zu,\n", cfg.num_users);
-  std::fprintf(out, "  \"iterations\": %u,\n", cfg.iterations);
-  std::fprintf(out, "  \"hardware_threads\": %zu,\n",
-               util::default_thread_count());
-  std::fprintf(out, "  \"hardware_concurrency\": %u,\n", hardware);
-  std::fprintf(out, "  \"smoke\": %s,\n", smoke ? "true" : "false");
-  std::fprintf(out, "  \"parity_ok\": %s,\n", parity_ok ? "true" : "false");
-  std::fprintf(out, "  \"runs\": [\n");
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    const auto& [threads, t] = runs[i];
-    const bool oversubscribed = hardware != 0 && threads > hardware;
-    std::fprintf(out,
-                 "    {\"threads\": %zu, \"oversubscribed\": %s, "
-                 "\"collect_s\": %.6f, "
-                 "\"table1_s\": %.6f, \"table2_s\": %.6f, \"fig5_s\": %.6f, "
-                 "\"table6_s\": %.6f, \"total_s\": %.6f, "
-                 "\"dataset_checksum\": \"%016llx\"}%s\n",
-                 threads, oversubscribed ? "true" : "false", t.collect,
-                 t.table1, t.table2, t.fig5, t.table6, t.total(),
-                 static_cast<unsigned long long>(t.checksum),
-                 i + 1 < runs.size() ? "," : "");
-  }
-  std::fprintf(out, "  ],\n");
-  std::fprintf(out, "  \"speedup_max_threads_vs_serial\": %.4f,\n", speedup);
-  std::fprintf(out, "  \"speedup_valid\": %s,\n",
-               speedup_valid ? "true" : "false");
-  std::fprintf(out, "  \"effective_parallelism\": %.4f,\n",
-               effective_parallelism);
-  // Per-stage observability block: the same registry the pipeline recorded
-  // into while running (render/cache/collect histograms and counters).
-  std::fprintf(out, "  \"metrics\": %s\n",
-               wafp::obs::MetricsRegistry::global().render_json().c_str());
-  std::fprintf(out, "}\n");
-  std::fclose(out);
-  std::printf("wrote %s\n", out_path.c_str());
+  json.rows("runs", rows);
+  json.fixed("speedup_max_threads_vs_serial", speedup, 4);
+  json.boolean("speedup_valid", speedup_valid);
+  json.fixed("effective_parallelism", effective_parallelism, 4);
+  // The per-stage metrics block the emitter appends is the registry the
+  // pipeline recorded into while running (render/cache/collect families).
+  json.write(out_path);
   return parity_ok ? 0 : 1;
 }

@@ -5,7 +5,6 @@
 // amortized insert cost at growing scales.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <vector>
 
 #include "collation/disjoint_set.h"
@@ -13,7 +12,6 @@
 #include "collation/fingerprint_graph.h"
 #include "dsp/fft.h"
 #include "dsp/math_library.h"
-#include "dsp/simd.h"
 #include "fingerprint/render_cache.h"
 #include "fingerprint/vector.h"
 #include "platform/catalog.h"
@@ -112,99 +110,6 @@ void BM_CompressorRender(benchmark::State& state) {
   state.SetLabel("1 s osc->compressor @ 44.1 kHz");
 }
 BENCHMARK(BM_CompressorRender);
-
-// --- SimdOps kernel-table benches (scalar vs SSE2 vs AVX2) ---------------
-//
-// Each case times the batch kernels one node's hot loop actually issues per
-// 128-frame quantum, through the table of the backend in Arg(0).
-// simd_ops_for() falls back to scalar when the host can't execute the
-// requested backend, so the full Arg sweep is safe everywhere; the label
-// reports the table that really ran. The JSON artifact with per-kernel
-// speedups lives in bench/simd_microbench (BENCH_simd.json).
-
-const dsp::SimdOps& bench_ops(benchmark::State& state) {
-  const auto want = static_cast<dsp::SimdBackend>(state.range(0));
-  const dsp::SimdOps& ops = dsp::simd_ops_for(want);
-  state.SetLabel(std::string(dsp::to_string(ops.backend)));
-  return ops;
-}
-
-void BM_SimdGainQuantum(benchmark::State& state) {
-  // GainNode inner loop: out = in * per-frame gain over one quantum.
-  const dsp::SimdOps& ops = bench_ops(state);
-  constexpr std::size_t n = 128;
-  std::vector<float> out(n), in(n, 0.5f), gain(n, 0.7f);
-  for (auto _ : state) {
-    ops.vmul_f32(out.data(), in.data(), gain.data(), n);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_SimdGainQuantum)
-    ->Arg(static_cast<int>(dsp::SimdBackend::kScalar))
-    ->Arg(static_cast<int>(dsp::SimdBackend::kSse2))
-    ->Arg(static_cast<int>(dsp::SimdBackend::kAvx2));
-
-void BM_SimdCompressorDetect(benchmark::State& state) {
-  // DynamicsCompressorNode gain computer stage 1: per-frame abs-max
-  // detection across two channels.
-  const dsp::SimdOps& ops = bench_ops(state);
-  constexpr std::size_t n = 128;
-  std::vector<float> acc(n), left(n, 0.25f), right(n, -0.75f);
-  for (auto _ : state) {
-    std::fill(acc.begin(), acc.end(), 0.0f);
-    ops.vabs_max_f32(acc.data(), left.data(), n);
-    ops.vabs_max_f32(acc.data(), right.data(), n);
-    benchmark::DoNotOptimize(acc.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(2 * n));
-}
-BENCHMARK(BM_SimdCompressorDetect)
-    ->Arg(static_cast<int>(dsp::SimdBackend::kScalar))
-    ->Arg(static_cast<int>(dsp::SimdBackend::kSse2))
-    ->Arg(static_cast<int>(dsp::SimdBackend::kAvx2));
-
-void BM_SimdAnalyserMagDb(benchmark::State& state) {
-  // AnalyserNode post-FFT pipeline: windowed copy-in, magnitude + scale,
-  // smoothing — everything around the FFT call itself.
-  const dsp::SimdOps& ops = bench_ops(state);
-  constexpr std::size_t n = 2048;
-  std::vector<double> block(n, 0.3), window(n, 0.5);
-  std::vector<float> windowed(n), re(n, 0.4f), im(n, -0.2f);
-  std::vector<float> mag(n / 2), smoothed(n / 2, 0.1f);
-  for (auto _ : state) {
-    ops.vwindow_f32(windowed.data(), block.data(), window.data(), n);
-    ops.vmag_f32(mag.data(), re.data(), im.data(), 1.0f / n, true, n / 2);
-    ops.vsmooth_f32(smoothed.data(), mag.data(), 0.8f, 0.2f, n / 2);
-    benchmark::DoNotOptimize(smoothed.data());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_SimdAnalyserMagDb)
-    ->Arg(static_cast<int>(dsp::SimdBackend::kScalar))
-    ->Arg(static_cast<int>(dsp::SimdBackend::kSse2))
-    ->Arg(static_cast<int>(dsp::SimdBackend::kAvx2));
-
-void BM_SimdTrigBatch(benchmark::State& state) {
-  // The fma-scheme transcendental batch behind kSimdSse2/kSimdAvx2 math
-  // variants (oscillator/periodic-wave table builds, dB conversions).
-  const dsp::SimdOps& ops = bench_ops(state);
-  constexpr std::size_t n = 128;
-  std::vector<double> x(n), out(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    x[i] = -3.0 + 6.0 * static_cast<double>(i) / n;
-  }
-  for (auto _ : state) {
-    ops.vsin_fma(x.data(), out.data(), n);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_SimdTrigBatch)
-    ->Arg(static_cast<int>(dsp::SimdBackend::kScalar))
-    ->Arg(static_cast<int>(dsp::SimdBackend::kSse2))
-    ->Arg(static_cast<int>(dsp::SimdBackend::kAvx2));
 
 const platform::PlatformProfile& bench_profile() {
   static const platform::PlatformProfile profile = [] {

@@ -21,10 +21,10 @@
 #include <string>
 #include <vector>
 
+#include "bench_json.h"
 #include "dsp/fft.h"
 #include "fingerprint/vector.h"
 #include "fingerprint/vector_registry.h"
-#include "obs/metrics.h"
 #include "platform/catalog.h"
 #include "platform/population.h"
 #include "serve/render_service.h"
@@ -165,32 +165,16 @@ int main(int argc, char** argv) {
   std::printf("parity : sampled served digests vs direct renders: %s\n",
               parity ? "ok" : "MISMATCH");
 
-  std::FILE* out = std::fopen(out_path.c_str(), "w");
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::fprintf(out,
-               "{\n"
-               "  \"benchmark\": \"serve_throughput\",\n"
-               "  \"smoke\": %s,\n"
-               "  \"requests\": %zu,\n"
-               "  \"classes\": %llu,\n"
-               "  \"workers\": %zu,\n"
-               "  \"coalesce_ratio\": %.3f,\n"
-               "  \"requests_per_sec\": %.1f,\n"
-               "  \"steady_requests_per_sec\": %.1f,\n"
-               "  \"build_free_steady_state\": %s,\n"
-               "  \"parity_ok\": %s,\n"
-               "  \"metrics\": %s\n"
-               "}\n",
-               smoke ? "true" : "false", stream.size(),
-               static_cast<unsigned long long>(admitted.classes),
-               service.worker_count(), coalesce_ratio, requests_per_sec,
-               steady_requests_per_sec, build_free ? "true" : "false",
-               parity ? "true" : "false",
-               obs::MetricsRegistry::global().render_json().c_str());
-  std::fclose(out);
-  std::printf("wrote %s\n", out_path.c_str());
+  bench::BenchJson json("serve_throughput");
+  json.boolean("smoke", smoke);
+  json.integer("requests", stream.size());
+  json.integer("classes", admitted.classes);
+  json.integer("workers", service.worker_count());
+  json.fixed("coalesce_ratio", coalesce_ratio, 3);
+  json.fixed("requests_per_sec", requests_per_sec, 1);
+  json.fixed("steady_requests_per_sec", steady_requests_per_sec, 1);
+  json.boolean("build_free_steady_state", build_free);
+  json.boolean("parity_ok", parity);
+  json.write(out_path);
   return (parity && build_free) ? 0 : 1;
 }

@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_json.h"
 #include "obs/metrics.h"
 #include "service/collation_service.h"
 #include "util/flags.h"
@@ -181,36 +182,19 @@ int main(int argc, char** argv) {
   parity = parity && main_parity;
   std::printf("main parity: %s\n", main_parity ? "ok" : "MISMATCH");
 
-  std::FILE* out = std::fopen(out_path.c_str(), "w");
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::fprintf(out,
-               "{\n"
-               "  \"bench\": \"shard_throughput\",\n"
-               "  \"smoke\": %s,\n"
-               "  \"shards\": %zu,\n"
-               "  \"submissions\": %zu,\n"
-               "  \"users\": %zu,\n"
-               "  \"sharded_submissions_per_sec\": %.1f,\n"
-               "  \"single_submissions_per_sec\": %.1f,\n"
-               "  \"p99_ingest_apply_ns\": %.1f,\n"
-               "  \"migration_records\": %llu,\n"
-               "  \"cross_shard_users\": %llu,\n"
-               "  \"component_checksum\": \"%016llx\",\n"
-               "  \"parity_ok\": %s,\n"
-               "  \"metrics\": %s\n"
-               "}\n",
-               smoke ? "true" : "false", shards, submissions, users, per_sec,
-               static_cast<double>(submissions) / baseline.seconds,
-               main_run.p99_ingest_apply_ns,
-               static_cast<unsigned long long>(main_run.migration_records),
-               static_cast<unsigned long long>(main_run.cross_shard_users),
-               static_cast<unsigned long long>(main_run.checksum),
-               parity ? "true" : "false",
-               obs::MetricsRegistry::global().render_json().c_str());
-  std::fclose(out);
-  std::printf("wrote %s\n", out_path.c_str());
+  bench::BenchJson json("shard_throughput");
+  json.boolean("smoke", smoke);
+  json.integer("shards", shards);
+  json.integer("submissions", submissions);
+  json.integer("users", users);
+  json.fixed("sharded_submissions_per_sec", per_sec, 1);
+  json.fixed("single_submissions_per_sec",
+             static_cast<double>(submissions) / baseline.seconds, 1);
+  json.fixed("p99_ingest_apply_ns", main_run.p99_ingest_apply_ns, 1);
+  json.integer("migration_records", main_run.migration_records);
+  json.integer("cross_shard_users", main_run.cross_shard_users);
+  json.hex("component_checksum", main_run.checksum);
+  json.boolean("parity_ok", parity);
+  json.write(out_path);
   return parity ? 0 : 1;
 }

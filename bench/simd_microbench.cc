@@ -18,7 +18,9 @@
 #include <string>
 #include <vector>
 
+#include "bench_json.h"
 #include "dsp/simd.h"
+#include "util/flags.h"
 
 namespace {
 
@@ -184,19 +186,13 @@ int main(int argc, char** argv) {
   std::size_t iters = 100000;
   bool smoke = false;
 
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--iters") == 0 && i + 1 < argc) {
-      iters = std::strtoul(argv[++i], nullptr, 10);
-    } else {
-      std::fprintf(stderr, "usage: %s [--smoke] [--out FILE] [--iters K]\n",
-                   argv[0]);
-      return 2;
-    }
-  }
+  wafp::util::FlagParser flags(
+      "simd_microbench",
+      "Scalar-vs-SIMD kernel timings and bit-identity (BENCH_simd.json).");
+  flags.flag("--smoke", &smoke, "tiny CI-sized run");
+  flags.flag("--out", &out_path, "output JSON path");
+  flags.flag("--iters", &iters, "timed passes per kernel", /*min=*/1);
+  if (!flags.parse(argc, argv)) return flags.exit_code();
   if (smoke) iters = 20000;
 
   const SimdBackend detected = wafp::dsp::detect_simd_backend();
@@ -247,38 +243,26 @@ int main(int argc, char** argv) {
   std::printf("  speedup: max=%.2fx geomean=%.2fx  bit_identical=%s\n",
               speedup_max, speedup_geomean, all_identical ? "all" : "FAIL");
 
-  FILE* out = std::fopen(out_path.c_str(), "w");
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
+  wafp::bench::BenchJson json("simd_microbench");
+  json.integer("n", kN);
+  json.integer("iters", iters);
+  json.boolean("smoke", smoke);
+  json.string("detected_backend", wafp::dsp::to_string(detected));
+  json.boolean("sse2_supported", sse2_ok);
+  json.boolean("avx2_supported", avx2_ok);
+  json.boolean("bit_identical_all", all_identical);
+  std::vector<wafp::bench::JsonObject> kernels;
+  for (const Row& r : rows) {
+    wafp::bench::JsonObject& kernel = kernels.emplace_back();
+    kernel.string("name", r.name);
+    kernel.fixed("scalar_ns_per_elem", r.scalar_ns, 4);
+    kernel.fixed("simd_ns_per_elem", r.simd_ns, 4);
+    kernel.fixed("speedup", r.speedup, 4);
+    kernel.boolean("bit_identical", r.identical);
   }
-  std::fprintf(out, "{\n");
-  std::fprintf(out, "  \"benchmark\": \"simd_microbench\",\n");
-  std::fprintf(out, "  \"n\": %zu,\n", kN);
-  std::fprintf(out, "  \"iters\": %zu,\n", iters);
-  std::fprintf(out, "  \"smoke\": %s,\n", smoke ? "true" : "false");
-  std::fprintf(out, "  \"detected_backend\": \"%s\",\n",
-               std::string(wafp::dsp::to_string(detected)).c_str());
-  std::fprintf(out, "  \"sse2_supported\": %s,\n", sse2_ok ? "true" : "false");
-  std::fprintf(out, "  \"avx2_supported\": %s,\n", avx2_ok ? "true" : "false");
-  std::fprintf(out, "  \"bit_identical_all\": %s,\n",
-               all_identical ? "true" : "false");
-  std::fprintf(out, "  \"kernels\": [\n");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    std::fprintf(out,
-                 "    {\"name\": \"%s\", \"scalar_ns_per_elem\": %.4f, "
-                 "\"simd_ns_per_elem\": %.4f, \"speedup\": %.4f, "
-                 "\"bit_identical\": %s}%s\n",
-                 r.name, r.scalar_ns, r.simd_ns, r.speedup,
-                 r.identical ? "true" : "false",
-                 i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(out, "  ],\n");
-  std::fprintf(out, "  \"speedup_max\": %.4f,\n", speedup_max);
-  std::fprintf(out, "  \"speedup_geomean\": %.4f\n", speedup_geomean);
-  std::fprintf(out, "}\n");
-  std::fclose(out);
-  std::printf("wrote %s\n", out_path.c_str());
+  json.rows("kernels", kernels);
+  json.fixed("speedup_max", speedup_max, 4);
+  json.fixed("speedup_geomean", speedup_geomean, 4);
+  json.write(out_path);
   return all_identical ? 0 : 1;
 }

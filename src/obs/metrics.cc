@@ -41,36 +41,48 @@ Histogram::Snapshot Histogram::snapshot() const {
   Snapshot snap;
   snap.bounds = bounds_;
   snap.counts.assign(bounds_.size() + 1, 0);
+  snap.min = UINT64_MAX;
   for (const Shard& s : shards_) {
     for (std::size_t i = 0; i < snap.counts.size(); ++i) {
       snap.counts[i] += s.buckets[i].load(std::memory_order_relaxed);
     }
     snap.sum += s.sum.load(std::memory_order_relaxed);
     snap.count += s.count.load(std::memory_order_relaxed);
+    snap.min = std::min(snap.min, s.min.load(std::memory_order_relaxed));
+    snap.max = std::max(snap.max, s.max.load(std::memory_order_relaxed));
   }
+  // Nothing observed yet (or only by an observe() whose extremes this
+  // snapshot raced past): no range to narrow the buckets to.
+  if (snap.min > snap.max) snap.min = snap.max = 0;
   return snap;
 }
 
 double Histogram::Snapshot::quantile(double q) const {
   if (count == 0 || bounds.empty()) return 0.0;
   q = std::clamp(q, 0.0, 1.0);
+  const double observed_min = static_cast<double>(min);
+  const double observed_max = static_cast<double>(max);
   const double target = q * static_cast<double>(count);
   std::uint64_t cum = 0;
   for (std::size_t i = 0; i < counts.size(); ++i) {
     const std::uint64_t c = counts[i];
     if (c == 0) continue;
     if (static_cast<double>(cum + c) >= target) {
-      const double lo = i == 0 ? 0.0 : static_cast<double>(bounds[i - 1]);
-      const double hi = i < bounds.size()
-                            ? static_cast<double>(bounds[i])
-                            : static_cast<double>(bounds.back());
+      // The bucket's edges, narrowed to what was actually observed; the
+      // overflow bucket has no upper bound but the observed max.
+      const double lo = std::max(
+          i == 0 ? 0.0 : static_cast<double>(bounds[i - 1]), observed_min);
+      const double hi = std::max(
+          lo, i < bounds.size()
+                  ? std::min(static_cast<double>(bounds[i]), observed_max)
+                  : observed_max);
       const double frac =
           (target - static_cast<double>(cum)) / static_cast<double>(c);
       return lo + frac * (hi - lo);
     }
     cum += c;
   }
-  return static_cast<double>(bounds.back());
+  return observed_max;
 }
 
 std::string label(std::string_view key, std::string_view value) {
@@ -90,6 +102,29 @@ std::string label(std::string_view key, std::string_view value) {
     out.push_back(c);
   }
   out.push_back('"');
+  return out;
+}
+
+std::string json_string(std::string_view value) {
+  std::string out = "\"";
+  for (const char c : value) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      case '\r': out += "\\r"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  out += '"';
   return out;
 }
 
@@ -181,8 +216,10 @@ void append_i64(std::string& out, std::int64_t v) {
 }
 
 void append_double(std::string& out, double v) {
+  // 15 significant digits print every whole nanosecond below 1e15 exactly,
+  // so a quantile that is an observation reads back as that observation.
   char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
+  std::snprintf(buf, sizeof(buf), "%.15g", v);
   out += buf;
 }
 
@@ -198,29 +235,6 @@ void append_series(std::string& out, std::string_view name,
     out += extra;
     out += '}';
   }
-}
-
-/// JSON string literal (escapes quotes, backslashes, control chars).
-void append_json_string(std::string& out, std::string_view s) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
 }
 
 }  // namespace
@@ -303,7 +317,7 @@ std::string MetricsRegistry::render_json() const {
     first_family = false;
     out += '\n';
     out += "    ";
-    append_json_string(out, name);
+    out += json_string(name);
     out += ": ";
     const bool flat = fam.kind != Kind::kHistogram &&
                       fam.instruments.size() == 1 &&
@@ -314,7 +328,7 @@ std::string MetricsRegistry::render_json() const {
       if (!flat) {
         if (!first_inst) out += ", ";
         first_inst = false;
-        append_json_string(out, labels);
+        out += json_string(labels);
         out += ": ";
       }
       switch (fam.kind) {

@@ -90,9 +90,14 @@ class Gauge {
 
 /// Fixed-bucket histogram for latency-style values (nanoseconds by
 /// convention). Bucket upper bounds are fixed at registration; observe()
-/// is wait-free (sharded relaxed atomics). Quantiles are estimated by
-/// linear interpolation inside the target bucket — exact enough for
-/// p50/p95/p99 trend lines, and deterministic given the same observations.
+/// is wait-free (sharded relaxed atomics). Each shard also keeps the
+/// smallest and largest value it saw. Quantiles are estimated by linear
+/// interpolation inside the target bucket, whose edges are first narrowed
+/// to that observed range: an estimate never leaves [min, max], a single
+/// observation or a run of equal values reads back exactly, and the
+/// overflow bucket spans the last bound up to the observed max. Exact to
+/// within one bucket width of the sorted-sample quantile, and
+/// deterministic given the same observations.
 class Histogram {
  public:
   static constexpr std::size_t kShards = 8;  // power of two
@@ -106,6 +111,16 @@ class Histogram {
     s.buckets[bucket_index(value)].fetch_add(1, std::memory_order_relaxed);
     s.sum.fetch_add(value, std::memory_order_relaxed);
     s.count.fetch_add(1, std::memory_order_relaxed);
+    // Read after the writes above have taken the shard's cache line, so
+    // these loads hit it; the compare-exchange runs only on a new extreme.
+    std::uint64_t lo = s.min.load(std::memory_order_relaxed);
+    while (value < lo && !s.min.compare_exchange_weak(
+                             lo, value, std::memory_order_relaxed)) {
+    }
+    std::uint64_t hi = s.max.load(std::memory_order_relaxed);
+    while (value > hi && !s.max.compare_exchange_weak(
+                             hi, value, std::memory_order_relaxed)) {
+    }
   }
 
   [[nodiscard]] std::span<const std::uint64_t> bounds() const {
@@ -117,9 +132,11 @@ class Histogram {
     std::vector<std::uint64_t> counts;  // bounds.size() + 1 (overflow last)
     std::uint64_t count = 0;
     std::uint64_t sum = 0;
+    std::uint64_t min = 0;  // smallest observation (0 when empty)
+    std::uint64_t max = 0;  // largest observation (0 when empty)
 
-    /// Interpolated quantile, q in [0, 1]. Values in the overflow bucket
-    /// saturate at the largest finite bound; an empty histogram reports 0.
+    /// Interpolated quantile, q in [0, 1], always within [min, max]; an
+    /// empty histogram reports 0.
     [[nodiscard]] double quantile(double q) const;
     [[nodiscard]] double p50() const { return quantile(0.50); }
     [[nodiscard]] double p95() const { return quantile(0.95); }
@@ -135,6 +152,8 @@ class Histogram {
     std::vector<std::atomic<std::uint64_t>> buckets;  // bounds_.size() + 1
     std::atomic<std::uint64_t> sum{0};
     std::atomic<std::uint64_t> count{0};
+    std::atomic<std::uint64_t> min{UINT64_MAX};
+    std::atomic<std::uint64_t> max{0};
   };
   std::array<Shard, kShards> shards_;
 };
@@ -143,6 +162,11 @@ class Histogram {
 /// and newlines in `value` are escaped per the Prometheus exposition
 /// format). Concatenate multiple labels with ','.
 [[nodiscard]] std::string label(std::string_view key, std::string_view value);
+
+/// `value` as a JSON string literal: quotes, backslashes and control
+/// characters escaped. render_json() writes names and labels with it, and
+/// so does the bench emitter (bench/bench_json.h).
+[[nodiscard]] std::string json_string(std::string_view value);
 
 class MetricsRegistry {
  public:

@@ -6,13 +6,13 @@ namespace {
 
 // Thread-local span state. The stack stores the open span names; the path
 // string is rebuilt lazily on demand (span close / current_path), keeping
-// span open/close allocation-light.
-thread_local std::vector<std::string>* t_stack = nullptr;
+// span open/close allocation-light. The stack is a thread_local value, so
+// a worker thread's stack is freed when the thread exits.
 thread_local ScopedTraceCapture* t_capture = nullptr;
 
 std::vector<std::string>& stack() {
-  if (t_stack == nullptr) t_stack = new std::vector<std::string>();
-  return *t_stack;
+  thread_local std::vector<std::string> t_stack;
+  return t_stack;
 }
 
 std::string join_path(const std::vector<std::string>& names) {

@@ -43,14 +43,16 @@ class FlagParser {
   void flag(std::string_view name, double* value, std::string_view help);
 
   /// Any unsigned integer target (size_t, uint64_t, uint32_t, ...);
-  /// rejects non-numeric text, trailing junk, and out-of-range values.
+  /// rejects non-numeric text, trailing junk, out-of-range values, and
+  /// values below `min` (a count that must not be 0 passes min = 1).
   template <typename T>
     requires(std::is_unsigned_v<T> && !std::is_same_v<T, bool>)
-  void flag(std::string_view name, T* value, std::string_view help) {
+  void flag(std::string_view name, T* value, std::string_view help,
+            std::uint64_t min = 0) {
     add_flag(name, help, std::to_string(*value), /*is_switch=*/false,
-             [value](std::string_view text) {
+             [value, min](std::string_view text) {
                std::uint64_t parsed = 0;
-               if (!parse_u64(text, parsed)) return false;
+               if (!parse_u64(text, parsed) || parsed < min) return false;
                if (parsed > std::uint64_t{std::numeric_limits<T>::max()}) {
                  return false;
                }

@@ -5,8 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdint>
+#include <random>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -66,10 +70,13 @@ TEST(HistogramTest, QuantileInterpolatesWithinBucket) {
   Histogram h(bounds);
   for (int i = 0; i < 10; ++i) h.observe(1);  // all in the first bucket
   const auto snap = h.snapshot();
-  // Linear interpolation across [0, 100] with all mass in one bucket.
-  EXPECT_DOUBLE_EQ(snap.p50(), 50.0);
-  EXPECT_DOUBLE_EQ(snap.quantile(0.99), 99.0);
-  EXPECT_DOUBLE_EQ(snap.quantile(0.0), 0.0);
+  // The bucket [0, 100] narrows to the observed [1, 1]: every quantile is
+  // the one value seen.
+  EXPECT_EQ(snap.min, 1u);
+  EXPECT_EQ(snap.max, 1u);
+  EXPECT_DOUBLE_EQ(snap.p50(), 1.0);
+  EXPECT_DOUBLE_EQ(snap.quantile(0.99), 1.0);
+  EXPECT_DOUBLE_EQ(snap.quantile(0.0), 1.0);
 }
 
 TEST(HistogramTest, QuantileWalksCumulativeBuckets) {
@@ -83,24 +90,128 @@ TEST(HistogramTest, QuantileWalksCumulativeBuckets) {
   // p50: target 5 of 10 -> exactly exhausts the first bucket.
   EXPECT_DOUBLE_EQ(snap.p50(), 10.0);
   // p95: target 9.5; cumulative through the second bucket is 9, so the
-  // remaining 0.5 falls halfway into the single-count [20, 30] bucket.
-  EXPECT_NEAR(snap.quantile(0.95), 25.0, 1e-9);
+  // remaining 0.5 falls halfway into the single-count (20, 30] bucket,
+  // whose top narrows to the largest observation, 25.
+  EXPECT_NEAR(snap.quantile(0.95), 22.5, 1e-9);
+  EXPECT_DOUBLE_EQ(snap.quantile(1.0), 25.0);
 }
 
-TEST(HistogramTest, OverflowSaturatesAtLastFiniteBound) {
+TEST(HistogramTest, OverflowInterpolatesUpToTheObservedMax) {
   const std::array<std::uint64_t, 2> bounds = {10, 20};
   Histogram h(bounds);
   h.observe(1000);
   h.observe(2000);
   const auto snap = h.snapshot();
-  EXPECT_DOUBLE_EQ(snap.quantile(1.0), 20.0);
-  EXPECT_DOUBLE_EQ(snap.p50(), 20.0);
+  // The overflow bucket spans the observed [1000, 2000], not the last
+  // finite bound: the max and the sample median come back exactly.
+  EXPECT_DOUBLE_EQ(snap.quantile(1.0), 2000.0);
+  EXPECT_DOUBLE_EQ(snap.p50(), 1500.0);
+  EXPECT_DOUBLE_EQ(snap.quantile(0.0), 1000.0);
 }
 
 TEST(HistogramTest, EmptyHistogramReportsZeroQuantiles) {
   const std::array<std::uint64_t, 1> bounds = {10};
   Histogram h(bounds);
-  EXPECT_DOUBLE_EQ(h.snapshot().p99(), 0.0);
+  const auto snap = h.snapshot();
+  EXPECT_DOUBLE_EQ(snap.p99(), 0.0);
+  EXPECT_EQ(snap.min, 0u);
+  EXPECT_EQ(snap.max, 0u);
+}
+
+// --- Quantiles against exact sorted-sample quantiles -----------------------
+
+/// Nearest-rank quantile of `sorted`: the ceil(q * n)-th smallest value.
+std::uint64_t exact_quantile(const std::vector<std::uint64_t>& sorted,
+                             double q) {
+  const double rank = std::ceil(q * static_cast<double>(sorted.size()));
+  const auto k = static_cast<std::size_t>(std::max(rank, 1.0));
+  return sorted[k - 1];
+}
+
+/// Width of the bucket holding `value`; the overflow bucket reaches up to
+/// the largest observation.
+double bucket_width(std::span<const std::uint64_t> bounds, std::uint64_t value,
+                    std::uint64_t max) {
+  const auto it = std::lower_bound(bounds.begin(), bounds.end(), value);
+  const std::uint64_t lo = it == bounds.begin() ? 0 : *(it - 1);
+  const std::uint64_t hi = it == bounds.end() ? max : *it;
+  return static_cast<double>(hi - lo);
+}
+
+constexpr std::array<double, 9> kProbeQuantiles = {
+    0.0, 0.01, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1.0};
+
+/// Observes `values` on the default latency ladder and checks every probe
+/// quantile against the sorted sample: inside [min, max], q = 0 and q = 1
+/// exactly the extremes, and within one bucket width of the exact value
+/// (`exact` demands equality instead).
+void expect_quantiles_track_sample(std::vector<std::uint64_t> values,
+                                   bool exact) {
+  const auto bounds = MetricsRegistry::default_latency_bounds_ns();
+  Histogram h(bounds);
+  for (const std::uint64_t v : values) h.observe(v);
+  std::sort(values.begin(), values.end());
+  const auto snap = h.snapshot();
+  ASSERT_EQ(snap.count, values.size());
+  EXPECT_EQ(snap.min, values.front());
+  EXPECT_EQ(snap.max, values.back());
+  EXPECT_DOUBLE_EQ(snap.quantile(0.0), static_cast<double>(values.front()));
+  EXPECT_DOUBLE_EQ(snap.quantile(1.0), static_cast<double>(values.back()));
+  for (const double q : kProbeQuantiles) {
+    const double got = snap.quantile(q);
+    const std::uint64_t want = exact_quantile(values, q);
+    EXPECT_GE(got, static_cast<double>(values.front())) << "q=" << q;
+    EXPECT_LE(got, static_cast<double>(values.back())) << "q=" << q;
+    if (exact) {
+      EXPECT_DOUBLE_EQ(got, static_cast<double>(want)) << "q=" << q;
+    } else {
+      EXPECT_LE(std::abs(got - static_cast<double>(want)),
+                bucket_width(bounds, want, values.back()))
+          << "q=" << q << " exact=" << want;
+    }
+  }
+}
+
+TEST(HistogramQuantileProperty, SingleObservationIsExact) {
+  // One 1.73 s merged-view build used to read p50 = 3 s, p99 = 4.96 s.
+  expect_quantiles_track_sample({1'734'000'123}, /*exact=*/true);
+  expect_quantiles_track_sample({0}, /*exact=*/true);
+  expect_quantiles_track_sample({37'600'000'000}, /*exact=*/true);
+}
+
+TEST(HistogramQuantileProperty, AllEqualValuesAreExact) {
+  // Count-valued families: a batch size of 1 used to read p50 = 0.5.
+  expect_quantiles_track_sample(std::vector<std::uint64_t>(3814, 1),
+                                /*exact=*/true);
+  expect_quantiles_track_sample(std::vector<std::uint64_t>(7, 12'345),
+                                /*exact=*/true);
+}
+
+TEST(HistogramQuantileProperty, OverflowBucketStaysWithinTheObservedRange) {
+  // Spans past the 5 s ladder top (a ~37 s study collect) used to
+  // saturate at 5e9.
+  std::vector<std::uint64_t> values;
+  for (std::uint64_t i = 0; i < 40; ++i) {
+    values.push_back(6'000'000'000 + i * 800'000'000);
+  }
+  expect_quantiles_track_sample(values, /*exact=*/false);
+}
+
+TEST(HistogramQuantileProperty, MixedBucketsWithinOneBucketWidth) {
+  std::mt19937_64 rng(20221025);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t n = 1 + rng() % 400;
+    std::vector<std::uint64_t> values;
+    values.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      // Log-uniform over 1 ns .. ~69 s, so samples land on every rung of
+      // the ladder and in its overflow bucket.
+      const unsigned bits = static_cast<unsigned>(rng() % 36);
+      values.push_back(rng() >> (63 - bits));
+    }
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    expect_quantiles_track_sample(std::move(values), /*exact=*/false);
+  }
 }
 
 TEST(LabelTest, EscapesQuotesBackslashesAndNewlines) {
@@ -207,6 +318,16 @@ TEST(RegistryTest, JsonExportFlattensUnlabeledScalars) {
   EXPECT_NE(json.find("\"wafp_c_ns\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"count\": 1"), std::string::npos) << json;
   EXPECT_NE(json.find("\"p50\": 50"), std::string::npos) << json;
+}
+
+TEST(RegistryTest, JsonExportPrintsAnObservedQuantileExactly) {
+  MetricsRegistry reg;
+  reg.histogram("wafp_c_ns", "Latency").observe(1'575'793'936);
+  const std::string json = reg.render_json();
+  EXPECT_NE(json.find("\"sum\": 1575793936, \"p50\": 1575793936, "
+                      "\"p95\": 1575793936, \"p99\": 1575793936"),
+            std::string::npos)
+      << json;
 }
 
 TEST(RegistryTest, JsonExportHandlesZeroObservationHistograms) {

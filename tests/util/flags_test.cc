@@ -139,6 +139,24 @@ TEST(FlagParserTest, HelpTextListsEveryFlagWithDefaults) {
   }
 }
 
+TEST(FlagParserTest, UnsignedFlagEnforcesItsMinimum) {
+  for (const char* arg : {"--users=0", "--users=abc"}) {
+    FlagParser parser("prog", "");
+    std::size_t users = 5;
+    parser.flag("--users", &users, "a count", /*min=*/1);
+    Argv argv({arg});
+    EXPECT_FALSE(parser.parse(argv.argc(), argv.argv())) << arg;
+    EXPECT_EQ(parser.exit_code(), 2) << arg;
+    EXPECT_EQ(users, 5u) << arg;
+  }
+  FlagParser parser("prog", "");
+  std::size_t users = 5;
+  parser.flag("--users", &users, "a count", /*min=*/1);
+  Argv argv({"--users=1"});
+  EXPECT_TRUE(parser.parse(argv.argc(), argv.argv()));
+  EXPECT_EQ(users, 1u);
+}
+
 TEST(FlagParserTest, RangeCheckedAgainstTheTargetWidth) {
   FlagParser parser("prog", "");
   std::uint32_t narrow = 0;
