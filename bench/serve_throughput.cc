@@ -10,7 +10,9 @@
 //                task; ratio = requests / distinct classes.
 //   steady     — re-serve the identical stream against warm caches and
 //                prove it builds nothing (FFT twiddles, scratch, periodic
-//                waves, task slabs, cache entries all flat).
+//                waves, task slabs, cache entries all flat) and that every
+//                request is a cache hit served at submit, with no class
+//                queued and no worker batch run.
 //   parity     — sampled requests must match a direct RenderCache::get
 //                bit for bit.
 //
@@ -130,6 +132,7 @@ int main(int argc, char** argv) {
   const std::uint64_t waves_before = webaudio::periodic_wave_builds();
   const std::uint64_t slabs_before = service.slab_builds();
   const std::size_t misses_before = cache.misses();
+  const serve::ServeStats steady_before = service.stats();
 
   const auto steady_start = Clock::now();
   for (const RequestSpec& r : stream) {
@@ -138,6 +141,12 @@ int main(int argc, char** argv) {
   const double steady_seconds = seconds_since(steady_start);
   const double steady_requests_per_sec =
       static_cast<double>(stream.size()) / steady_seconds;
+  const serve::ServeStats steady_after = service.stats();
+  const std::size_t steady_cache_hits =
+      steady_after.cache_hits - steady_before.cache_hits;
+  const bool served_inline = steady_cache_hits == stream.size() &&
+                             steady_after.classes == steady_before.classes &&
+                             steady_after.batches == steady_before.batches;
 
   const dsp::FftCounters fft_after = dsp::fft_counters();
   const bool build_free =
@@ -148,6 +157,8 @@ int main(int argc, char** argv) {
   std::printf("steady : %zu requests in %.3fs (%.0f/s, build-free: %s)\n",
               stream.size(), steady_seconds, steady_requests_per_sec,
               build_free ? "yes" : "NO");
+  std::printf("         %zu served inline as cache hits: %s\n",
+              steady_cache_hits, served_inline ? "yes" : "NO");
 
   // --- Phase 3: sampled parity against direct renders. --------------------
   fingerprint::RenderCache direct_cache;
@@ -173,8 +184,9 @@ int main(int argc, char** argv) {
   json.fixed("coalesce_ratio", coalesce_ratio, 3);
   json.fixed("requests_per_sec", requests_per_sec, 1);
   json.fixed("steady_requests_per_sec", steady_requests_per_sec, 1);
+  json.integer("steady_cache_hits", steady_cache_hits);
   json.boolean("build_free_steady_state", build_free);
   json.boolean("parity_ok", parity);
   json.write(out_path);
-  return (parity && build_free) ? 0 : 1;
+  return (parity && build_free && served_inline) ? 0 : 1;
 }

@@ -73,9 +73,10 @@ int main(int argc, char** argv) {
   fingerprint::FingerprintCollector collector({&cache});
 
   // With --render-workers, renders route through the continuous-batching
-  // RenderService over the collector's shared cache: concurrent visitors
-  // hitting the same (stack, vector, jitter) class coalesce onto one
-  // render. Chaotic glitch draws are one-off digests with no render class,
+  // RenderService over the collector's shared cache: a class the cache
+  // already holds is served at submit, and concurrent visitors missing on
+  // the same (stack, vector, jitter) class coalesce onto one render.
+  // Chaotic glitch draws are one-off digests with no render class,
   // so those fall back to the collector's direct path.
   std::optional<serve::RenderService> render_service;
   if (render_workers > 0) {
@@ -219,11 +220,13 @@ int main(int argc, char** argv) {
   if (render_service.has_value()) {
     render_service->stop();
     const serve::ServeStats serve_stats = render_service->stats();
-    std::printf("\nRender service (%zu workers): %llu requests over %llu "
-                "classes (coalesce ratio %.2f), %llu batches, %llu rejected "
-                "by backpressure\n",
+    std::printf("\nRender service (%zu workers): %llu requests, %llu "
+                "served inline as cache hits, the rest over %llu classes "
+                "(coalesce ratio %.2f), %llu batches, %llu rejected by "
+                "backpressure\n",
                 render_service->worker_count(),
                 static_cast<unsigned long long>(serve_stats.requests),
+                static_cast<unsigned long long>(serve_stats.cache_hits),
                 static_cast<unsigned long long>(serve_stats.classes),
                 serve_stats.coalesce_ratio(),
                 static_cast<unsigned long long>(serve_stats.batches),

@@ -71,6 +71,24 @@ const util::Digest& RenderCache::get(const AudioFingerprintVector& vector,
   return entry->digest;
 }
 
+const util::Digest* RenderCache::find(const RenderClassKey& key)
+    WAFP_NONALLOCATING {
+  Shard& shard = shards_[KeyHash{}(key) % kShards];
+  const Entry* entry = nullptr;
+  {
+    util::MutexLock lock(shard.mu);
+    const auto it = shard.map.find(key);
+    if (it == shard.map.end()) return nullptr;
+    entry = it->second.get();
+  }
+  // An entry that has not published is rendering on another thread;
+  // waiting for it is get()'s job, not a lookup's.
+  if (!entry->ready.load(std::memory_order_acquire)) return nullptr;
+  hits_.fetch_add(1, std::memory_order_relaxed);
+  hit_counter_.inc();
+  return &entry->digest;
+}
+
 void RenderCache::render_cold(Entry& entry,
                               const AudioFingerprintVector& vector,
                               const platform::PlatformProfile& profile,

@@ -17,6 +17,11 @@
 // collection performs the same number of renders as serial collection.
 // Returned references stay valid for the cache's lifetime: entries are
 // heap-allocated and never erased.
+//
+// Two lookups: get() renders on first use (and waits on an in-flight
+// render of the same key); find() only reports a class that is already
+// rendered, so a caller can serve a warm class inline and hand only the
+// rest to a renderer (serve::RenderService::submit does exactly that).
 #pragma once
 
 #include <array>
@@ -28,6 +33,7 @@
 
 #include "fingerprint/vector.h"
 #include "obs/metrics.h"
+#include "util/function_effects.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 
@@ -87,14 +93,23 @@ class RenderCache {
                           const platform::PlatformProfile& profile,
                           std::uint32_t jitter_state);
 
+  /// The digest of `key`'s class if it is already rendered, else nullptr
+  /// (absent, or its render is still in flight). Never inserts, renders or
+  /// waits. The pointer is the entry get() returns, stable for the cache's
+  /// lifetime. Counts a hit only when it returns a digest; a nullptr
+  /// touches no counter. Safe to call concurrently with get().
+  [[nodiscard]] const util::Digest* find(const RenderClassKey& key)
+      WAFP_NONALLOCATING;
+
   /// Distinct (stack, vector, jitter) classes seen so far.
   [[nodiscard]] std::size_t entries() const;
-  /// Lookups that found an existing entry (possibly waiting on its
-  /// in-flight render).
+  /// get() lookups that found an existing entry (possibly waiting on its
+  /// in-flight render), plus find() lookups that returned a digest.
   [[nodiscard]] std::size_t hits() const {
     return hits_.load(std::memory_order_relaxed);
   }
-  /// Lookups that created the entry and rendered it; always == entries().
+  /// get() lookups that created the entry and rendered it; always ==
+  /// entries().
   [[nodiscard]] std::size_t misses() const {
     return misses_.load(std::memory_order_relaxed);
   }

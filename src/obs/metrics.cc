@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <thread>
 
 #include "util/check.h"
 
@@ -12,8 +11,11 @@ namespace wafp::obs {
 namespace detail {
 
 std::size_t thread_shard_seed() {
+  // Consecutive values, not a thread-id hash: the first kShards threads
+  // to observe land on distinct shards instead of colliding by chance.
+  static std::atomic<std::size_t> next{0};
   thread_local const std::size_t seed =
-      std::hash<std::thread::id>{}(std::this_thread::get_id());
+      next.fetch_add(1, std::memory_order_relaxed);
   return seed;
 }
 

@@ -44,7 +44,9 @@
 namespace wafp::obs {
 
 namespace detail {
-/// Stable per-thread shard selector (hashed thread id, cached per thread).
+/// Stable per-thread shard selector: each thread's first call takes the
+/// next value of a process-wide counter, so any kShards consecutive new
+/// threads get pairwise distinct shards.
 [[nodiscard]] std::size_t thread_shard_seed();
 }  // namespace detail
 

@@ -1,6 +1,7 @@
 #include "serve/render_service.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/check.h"
 #include "util/thread_pool.h"
@@ -37,6 +38,10 @@ RenderService::RenderService(fingerprint::RenderCache& cache,
           "Class admission to render completion (ns)")),
       requests_counter_(metrics_.counter("wafp_serve_requests_total",
                                          "Render requests accepted")),
+      cache_hits_counter_(metrics_.counter(
+          "wafp_serve_cache_hits_total",
+          "Accepted requests served at submit from an already rendered "
+          "cache entry")),
       coalesced_counter_(metrics_.counter(
           "wafp_serve_coalesced_total",
           "Accepted requests that joined an in-flight class")),
@@ -56,12 +61,25 @@ RenderService::RenderService(fingerprint::RenderCache& cache,
 
 RenderService::~RenderService() { stop(); }
 
+bool RenderService::admit_hit(const fingerprint::RenderClassKey& key,
+                              Ticket& ticket) {
+  const util::Digest* digest = cache_.find(key);
+  if (digest == nullptr) return false;
+  {
+    util::MutexLock lock(mu_);
+    ++stats_.requests;
+    ++stats_.cache_hits;
+  }
+  requests_counter_.inc();
+  cache_hits_counter_.inc();
+  ticket = Ticket(digest);
+  return true;
+}
+
 Admit RenderService::submit_locked(
+    const fingerprint::RenderClassKey& key,
     const fingerprint::AudioFingerprintVector& vector,
-    const platform::PlatformProfile& profile, std::uint32_t jitter_state,
-    Ticket& ticket) {
-  const fingerprint::RenderClassKey key =
-      fingerprint::make_render_class_key(vector, profile, jitter_state);
+    const platform::PlatformProfile& profile, Ticket& ticket) {
   if (const auto it = inflight_.find(key); it != inflight_.end()) {
     // Continuous batching's core move: this request adds zero work. It
     // rides the already-admitted task, whether that task is still queued
@@ -103,15 +121,18 @@ Admit RenderService::submit_locked(
 Admit RenderService::submit(const fingerprint::AudioFingerprintVector& vector,
                             const platform::PlatformProfile& profile,
                             std::uint32_t jitter_state, Ticket& ticket) {
+  const fingerprint::RenderClassKey key =
+      fingerprint::make_render_class_key(vector, profile, jitter_state);
+  if (admit_hit(key, ticket)) return Admit::kAccepted;
   util::MutexLock lock(mu_);
-  return submit_locked(vector, profile, jitter_state, ticket);
+  return submit_locked(key, vector, profile, ticket);
 }
 
 const util::Digest& RenderService::wait(Ticket& ticket) {
-  WAFP_CHECK(ticket.task_ != nullptr)
+  WAFP_CHECK(ticket.valid())
       << "RenderService::wait on an empty or already-waited ticket";
-  Task* task = ticket.task_;
-  ticket.task_ = nullptr;
+  if (ticket.hit_ != nullptr) return *std::exchange(ticket.hit_, nullptr);
+  Task* task = std::exchange(ticket.task_, nullptr);
 
   util::MutexLock lock(mu_);
   while (!task->done) done_cv_.wait(mu_);
@@ -127,11 +148,12 @@ const util::Digest& RenderService::wait(Ticket& ticket) {
 const util::Digest& RenderService::render(
     const fingerprint::AudioFingerprintVector& vector,
     const platform::PlatformProfile& profile, std::uint32_t jitter_state) {
+  const fingerprint::RenderClassKey key =
+      fingerprint::make_render_class_key(vector, profile, jitter_state);
   Ticket ticket;
-  {
+  if (!admit_hit(key, ticket)) {
     util::MutexLock lock(mu_);
-    while (submit_locked(vector, profile, jitter_state, ticket) !=
-           Admit::kAccepted) {
+    while (submit_locked(key, vector, profile, ticket) != Admit::kAccepted) {
       // Waiting out backpressure only terminates while workers drain the
       // queue; if the service is stopping instead, fail loudly rather than
       // sleep forever on a condition nothing will signal.

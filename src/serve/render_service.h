@@ -6,6 +6,11 @@
 // work. This service generalizes the two existing dedup layers into a
 // cross-request one:
 //
+//   warm hits  — submit() first asks the RenderCache for an already
+//                rendered class (RenderCache::find). A hit is served at
+//                once: the ticket carries the cache's own digest, and no
+//                task, queue slot or worker is involved. Everything below
+//                applies to misses only.
 //   admission  — a bounded queue with kQueueFull backpressure, mirroring
 //                CollationService::submit's protocol: the caller backs off
 //                and resubmits instead of growing an unbounded buffer.
@@ -28,8 +33,10 @@
 // their own submitters first — a render() blocked on backpressure aborts
 // (WAFP_CHECK) rather than deadlocking if the service stops under it, and
 // a submit() racing the last worker's exit would wait until the next
-// start(). Each accepted Ticket must be wait()ed exactly once; the digest
-// reference returned stays valid for the RenderCache's lifetime.
+// start(). A warm hit needs no worker, so it is served even while the
+// service is stopped. Each accepted Ticket must be wait()ed exactly once;
+// the digest reference returned stays valid for the RenderCache's
+// lifetime.
 #pragma once
 
 #include <atomic>
@@ -38,6 +45,7 @@
 #include <span>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "fingerprint/render_cache.h"
@@ -74,19 +82,22 @@ struct RenderServiceConfig {
 enum class Admit { kAccepted, kQueueFull };
 
 struct ServeStats {
-  std::size_t requests = 0;   // accepted submissions
-  std::size_t coalesced = 0;  // accepted submissions that joined an
-                              // in-flight class instead of queueing work
-  std::size_t classes = 0;    // tasks admitted (distinct in-flight classes)
-  std::size_t completed = 0;  // tasks rendered
-  std::size_t batches = 0;    // worker batches executed
+  std::size_t requests = 0;    // accepted submissions, hits included
+  std::size_t cache_hits = 0;  // accepted submissions served at submit()
+                               // from an already rendered cache entry
+  std::size_t coalesced = 0;   // accepted submissions that joined an
+                               // in-flight class instead of queueing work
+  std::size_t classes = 0;     // tasks admitted (distinct in-flight classes)
+  std::size_t completed = 0;   // tasks rendered
+  std::size_t batches = 0;     // worker batches executed
   std::size_t rejected_queue_full = 0;
 
-  /// Accepted requests per unit of queued work; > 1 on duplicate-heavy
-  /// streams is the serving layer's whole reason to exist.
+  /// Requests that missed the cache per unit of queued work; > 1 on
+  /// duplicate-heavy streams is the serving layer's whole reason to exist.
+  /// Hits never reach the queue, so they are left out of the ratio.
   [[nodiscard]] double coalesce_ratio() const {
     return classes == 0 ? 0.0
-                        : static_cast<double>(requests) /
+                        : static_cast<double>(requests - cache_hits) /
                               static_cast<double>(classes);
   }
 };
@@ -96,26 +107,33 @@ class RenderService {
   struct Task;
 
  public:
-  /// Handle for one accepted submission. Move-only so two owners can never
+  /// Handle for one accepted submission: either a queued task or, for a
+  /// warm hit, the cache's digest itself. Move-only so two owners can never
   /// drain the same task's waiter count; wait() consumes the ticket.
   class Ticket {
    public:
     Ticket() = default;
-    Ticket(Ticket&& o) noexcept : task_(o.task_) { o.task_ = nullptr; }
+    Ticket(Ticket&& o) noexcept
+        : task_(std::exchange(o.task_, nullptr)),
+          hit_(std::exchange(o.hit_, nullptr)) {}
     Ticket& operator=(Ticket&& o) noexcept {
-      task_ = o.task_;
-      o.task_ = nullptr;
+      task_ = std::exchange(o.task_, nullptr);
+      hit_ = std::exchange(o.hit_, nullptr);
       return *this;
     }
     Ticket(const Ticket&) = delete;
     Ticket& operator=(const Ticket&) = delete;
 
-    [[nodiscard]] bool valid() const { return task_ != nullptr; }
+    [[nodiscard]] bool valid() const {
+      return task_ != nullptr || hit_ != nullptr;
+    }
 
    private:
     friend class RenderService;
     explicit Ticket(Task* task) : task_(task) {}
+    explicit Ticket(const util::Digest* hit) : hit_(hit) {}
     Task* task_ = nullptr;
+    const util::Digest* hit_ = nullptr;  // RenderCache-owned
   };
 
   /// The service renders through (and shares dedup with) `cache`, which
@@ -127,9 +145,12 @@ class RenderService {
   RenderService(const RenderService&) = delete;
   RenderService& operator=(const RenderService&) = delete;
 
-  /// Admit one render request. kAccepted fills `ticket` (coalescing onto an
-  /// in-flight class when one exists); kQueueFull asks the caller to back
-  /// off and resubmit, exactly like CollationService::submit.
+  /// Admit one render request. A class the cache already holds is
+  /// accepted at once, whatever the queue or workers are doing, and
+  /// `ticket` carries its digest. Otherwise kAccepted fills `ticket`
+  /// (coalescing onto an in-flight class when one exists) and kQueueFull
+  /// asks the caller to back off and resubmit, exactly like
+  /// CollationService::submit.
   ///
   /// Lifetime: `vector` and `profile` are captured by pointer and must stay
   /// alive and unmoved until the class's render completes. Vectors from
@@ -139,15 +160,16 @@ class RenderService {
                const platform::PlatformProfile& profile,
                std::uint32_t jitter_state, Ticket& ticket);
 
-  /// Block until the ticket's render completes and return its digest
-  /// (valid for the RenderCache's lifetime). Consumes the ticket; call
-  /// exactly once per accepted submit. Requires workers to run eventually
-  /// (start(), or start_workers at construction).
+  /// Return the ticket's digest (valid for the RenderCache's lifetime),
+  /// blocking until its render completes. Consumes the ticket; call exactly
+  /// once per accepted submit. A hit ticket returns at once; a queued one
+  /// requires workers to run eventually (start(), or start_workers at
+  /// construction).
   const util::Digest& wait(Ticket& ticket);
 
   /// Blocking convenience: submit (sleeping out kQueueFull backpressure)
-  /// then wait. Aborts rather than deadlocks if the service is stopping
-  /// while the queue is full.
+  /// then wait. A warm hit returns without a worker. Aborts rather than
+  /// deadlocks if the service is stopping while the queue is full.
   const util::Digest& render(const fingerprint::AudioFingerprintVector& vector,
                              const platform::PlatformProfile& profile,
                              std::uint32_t jitter_state);
@@ -183,9 +205,13 @@ class RenderService {
     std::uint64_t admitted_ns = 0;
   };
 
-  Admit submit_locked(const fingerprint::AudioFingerprintVector& vector,
-                      const platform::PlatformProfile& profile,
-                      std::uint32_t jitter_state, Ticket& ticket)
+  /// Serves `key` inline when the cache already holds it: fills `ticket`
+  /// with the cache's digest and counts the request as a hit. False on a
+  /// miss, with nothing counted.
+  bool admit_hit(const fingerprint::RenderClassKey& key, Ticket& ticket);
+  Admit submit_locked(const fingerprint::RenderClassKey& key,
+                      const fingerprint::AudioFingerprintVector& vector,
+                      const platform::PlatformProfile& profile, Ticket& ticket)
       WAFP_REQUIRES(mu_);
   void worker_loop();
   /// Renders a popped batch through the shared cache, outside mu_. This is
@@ -205,6 +231,7 @@ class RenderService {
   obs::Histogram& coalesced_per_class_hist_;
   obs::Histogram& request_ns_hist_;
   obs::Counter& requests_counter_;
+  obs::Counter& cache_hits_counter_;
   obs::Counter& coalesced_counter_;
   obs::Counter& classes_counter_;
   obs::Counter& completed_counter_;

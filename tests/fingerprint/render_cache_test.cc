@@ -40,6 +40,37 @@ TEST(RenderCacheTest, HitOnRepeatLookup) {
   EXPECT_EQ(cache.misses(), 1u);
 }
 
+TEST(RenderCacheTest, FindOnAnAbsentClassChangesNothing) {
+  obs::MetricsRegistry registry;
+  RenderCache cache(&registry);
+  const auto profiles = sample_profiles(1);
+  const auto& vec = audio_vector(VectorId::kDc);
+  (void)cache.get(vec, profiles[0], 0);
+
+  // Another jitter state of the same stack is a different, unrendered class.
+  EXPECT_EQ(cache.find(make_render_class_key(vec, profiles[0], 1)), nullptr);
+  EXPECT_EQ(cache.entries(), 1u);
+  EXPECT_EQ(cache.hits(), 0u);
+  EXPECT_EQ(cache.misses(), 1u);
+  EXPECT_EQ(registry.counter("wafp_cache_hits_total").value(), 0u);
+}
+
+TEST(RenderCacheTest, FindReturnsTheEntryGetReturns) {
+  obs::MetricsRegistry registry;
+  RenderCache cache(&registry);
+  const auto profiles = sample_profiles(1);
+  const auto& vec = audio_vector(VectorId::kFft);
+  const util::Digest& rendered = cache.get(vec, profiles[0], 2);
+
+  const util::Digest* found =
+      cache.find(make_render_class_key(vec, profiles[0], 2));
+  EXPECT_EQ(found, &rendered);  // the same entry, not a copy
+  EXPECT_EQ(cache.entries(), 1u);
+  EXPECT_EQ(cache.hits(), 1u);
+  EXPECT_EQ(cache.misses(), 1u);
+  EXPECT_EQ(registry.counter("wafp_cache_hits_total").value(), 1u);
+}
+
 TEST(RenderCacheTest, DistinguishesVectorAndJitterState) {
   RenderCache cache;
   const auto profiles = sample_profiles(1);

@@ -9,6 +9,7 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <latch>
 #include <random>
 #include <span>
 #include <string>
@@ -41,6 +42,26 @@ TEST(CounterTest, ShardedIncrementsUnderEightThreadContention) {
   }
   for (auto& w : workers) w.join();
   EXPECT_EQ(c.value(), kThreads * kPerThread);
+}
+
+TEST(ShardSeedTest, ConcurrentThreadsTakeDistinctHistogramShards) {
+  // Histogram::kShards threads, all alive at once, must not share a
+  // shard: a shared one bounces its cache line on every observe.
+  constexpr std::size_t kThreads = Histogram::kShards;
+  std::array<std::size_t, kThreads> shards{};
+  std::latch all_started(kThreads);
+  std::vector<std::thread> workers;
+  workers.reserve(kThreads);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&shards, &all_started, t] {
+      all_started.arrive_and_wait();
+      shards[t] = detail::thread_shard_seed() & (Histogram::kShards - 1);
+    });
+  }
+  for (auto& w : workers) w.join();
+  std::sort(shards.begin(), shards.end());
+  EXPECT_EQ(std::adjacent_find(shards.begin(), shards.end()), shards.end())
+      << "two of " << kThreads << " threads share a histogram shard";
 }
 
 TEST(GaugeTest, SetAndAdd) {

@@ -1,7 +1,7 @@
 // RenderService behavior: bit-identical parity with direct RenderCache
-// renders across worker counts, deterministic cross-request coalescing,
-// kQueueFull backpressure, ticket accounting, slab recycling, and the
-// wafp_serve_* instrument wiring.
+// renders across worker counts, warm hits served inline without a worker,
+// deterministic cross-request coalescing, kQueueFull backpressure, ticket
+// accounting, slab recycling, and the wafp_serve_* instrument wiring.
 #include "serve/render_service.h"
 
 #include <gtest/gtest.h>
@@ -90,6 +90,86 @@ TEST(RenderServiceTest, DuplicateSubmissionsCoalesceOntoOneTask) {
   EXPECT_EQ(cache.misses(), 1u);  // one render served all five requests
 }
 
+TEST(RenderServiceTest, WarmHitsAreServedInlineWithoutAWorker) {
+  obs::MetricsRegistry registry;
+  RenderCache cache(&registry);
+  const auto p = profile_with_math(dsp::MathVariant::kPrecise);
+  std::vector<const util::Digest*> warm;
+  for (const VectorId id : VectorRegistry::instance().audio_ids()) {
+    for (const std::uint32_t jitter : {0u, 1u}) {
+      warm.push_back(&cache.get(audio_vector(id), p, jitter));
+    }
+  }
+
+  RenderServiceConfig config;
+  config.start_workers = false;  // nothing could serve a queued task
+  config.metrics = &registry;
+  RenderService service(cache, config);
+  std::vector<RenderService::Ticket> tickets(warm.size());
+  std::size_t i = 0;
+  for (const VectorId id : VectorRegistry::instance().audio_ids()) {
+    for (const std::uint32_t jitter : {0u, 1u}) {
+      ASSERT_EQ(service.submit(audio_vector(id), p, jitter, tickets[i++]),
+                Admit::kAccepted);
+    }
+  }
+  ASSERT_EQ(service.queue_depth(), 0u);  // else wait() would never return
+  for (i = 0; i < tickets.size(); ++i) {
+    EXPECT_EQ(&service.wait(tickets[i]), warm[i]);  // the cache's own entry
+    EXPECT_FALSE(tickets[i].valid());
+  }
+
+  const ServeStats stats = service.stats();
+  EXPECT_EQ(stats.requests, warm.size());
+  EXPECT_EQ(stats.cache_hits, warm.size());
+  EXPECT_EQ(stats.coalesced, 0u);
+  EXPECT_EQ(stats.classes, 0u);
+  EXPECT_EQ(stats.batches, 0u);
+  EXPECT_EQ(service.slab_builds(), 0u);
+  EXPECT_EQ(registry.counter("wafp_serve_cache_hits_total").value(),
+            warm.size());
+  EXPECT_EQ(registry.counter("wafp_serve_requests_total").value(),
+            warm.size());
+  EXPECT_EQ(registry.counter("wafp_serve_classes_total").value(), 0u);
+}
+
+TEST(RenderServiceTest, HitsAreServedAfterStop) {
+  RenderCache cache;
+  RenderService service(cache, {});
+  const auto p = profile_with_math(dsp::MathVariant::kTable);
+  const AudioFingerprintVector& vec = audio_vector(VectorId::kHybrid);
+  const util::Digest& rendered = service.render(vec, p, 0);  // cold: queued
+  service.stop();
+
+  RenderService::Ticket ticket;
+  ASSERT_EQ(service.submit(vec, p, 0, ticket), Admit::kAccepted);
+  ASSERT_EQ(service.queue_depth(), 0u);
+  EXPECT_EQ(&service.wait(ticket), &rendered);
+  EXPECT_EQ(&service.render(vec, p, 0), &rendered);
+  const ServeStats stats = service.stats();
+  EXPECT_EQ(stats.requests, 3u);
+  EXPECT_EQ(stats.cache_hits, 2u);
+  EXPECT_EQ(stats.classes, 1u);
+  EXPECT_DOUBLE_EQ(stats.coalesce_ratio(), 1.0);  // hits are not queued work
+}
+
+TEST(RenderServiceDeathTest, DoubleWaitOnAHitTicketAborts) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  RenderCache cache;
+  const auto p = profile_with_math(dsp::MathVariant::kPrecise);
+  const AudioFingerprintVector& vec = audio_vector(VectorId::kDc);
+  (void)cache.get(vec, p, 0);
+  RenderServiceConfig config;
+  config.start_workers = false;
+  RenderService service(cache, config);
+
+  RenderService::Ticket ticket;
+  ASSERT_EQ(service.submit(vec, p, 0, ticket), Admit::kAccepted);
+  ASSERT_EQ(service.queue_depth(), 0u);
+  (void)service.wait(ticket);
+  EXPECT_DEATH((void)service.wait(ticket), "already-waited ticket");
+}
+
 TEST(RenderServiceTest, DistinctClassesDoNotCoalesce) {
   RenderCache cache;
   RenderServiceConfig config;
@@ -170,11 +250,15 @@ TEST(RenderServiceTest, TaskSlotsRecycleThroughTheSlabPool) {
   const auto p = profile_with_math(dsp::MathVariant::kPrecise);
   const AudioFingerprintVector& vec = audio_vector(VectorId::kDc);
 
-  // Serial render() keeps at most one task in flight, so hundreds of
-  // requests must fit in the very first slab.
-  for (std::uint32_t i = 0; i < 300; ++i) {
-    (void)service.render(vec, p, i % 4);
+  // Serial render() keeps at most one task in flight, so more classes
+  // than one slab holds must fit in the very first slab. Every class is
+  // distinct, so each is a cache miss that takes a task slot (a warm hit
+  // would take none).
+  constexpr std::uint32_t kClasses = 100;  // > the 64-slot slab
+  for (std::uint32_t jitter = 0; jitter < kClasses; ++jitter) {
+    (void)service.render(vec, p, jitter);
   }
+  EXPECT_EQ(service.stats().classes, kClasses);
   EXPECT_EQ(service.slab_builds(), 1u);
 }
 
